@@ -370,6 +370,275 @@ TEST(StreamChecker, WindowedRetirementBoundsMemory)
     EXPECT_LE(report.stats.peakWindow, opts.window + 2);
 }
 
+/**
+ * Builds fence-SC traces: relaxed, sys-scoped, generic-proxy accesses
+ * by threads t0.. (each in its own CTA of GPU 0) to zero-initialized
+ * locations m0.., whose init writes have uid = location index. The
+ * footer is derived from the last committed store to each location.
+ */
+class ScTrace
+{
+  public:
+    ScTrace(std::size_t threads, std::size_t locations)
+        : writer(ss), memory(locations, 0)
+    {
+        TraceHeader hdr;
+        hdr.test = "fence_sc";
+        for (std::size_t t = 0; t < threads; t++)
+            hdr.threads.push_back(
+                TraceThread{"t" + std::to_string(t), (int)t, 0});
+        for (std::size_t l = 0; l < locations; l++)
+            hdr.locations.push_back(
+                TraceLocation{"m" + std::to_string(l), 0});
+        writer.header(hdr);
+    }
+
+    /** Store @p value and commit it at once; returns the uid. */
+    std::uint64_t
+    put(std::size_t t, std::size_t loc, std::uint64_t value)
+    {
+        const auto uid = writer.store(t, loc, value, Semantics::Relaxed,
+                                      Scope::Sys, ProxyKind::Generic);
+        writer.commit(uid);
+        memory[loc] = value;
+        return uid;
+    }
+
+    void
+    get(std::size_t t, std::size_t loc, std::uint64_t value,
+        std::uint64_t rf)
+    {
+        writer.load(t, loc, value, rf, Semantics::Relaxed, Scope::Sys,
+                    ProxyKind::Generic, "");
+    }
+
+    void
+    fence(std::size_t t, Scope scope = Scope::Sys)
+    {
+        writer.fence(t, Semantics::Sc, scope);
+    }
+
+    ConformReport
+    check(const ConformOptions &opts = {})
+    {
+        litmus::Outcome outcome;
+        for (std::size_t l = 0; l < memory.size(); l++)
+            outcome.memory["m" + std::to_string(l)] = memory[l];
+        writer.finish(outcome);
+        return checkTrace(ss, opts);
+    }
+
+  private:
+    std::stringstream ss;
+    TraceWriter writer;
+    std::vector<std::uint64_t> memory;
+};
+
+/** The report holds exactly one violation, and it is a fence-SC cycle. */
+void
+expectOneFenceScCycle(const ConformReport &report)
+{
+    EXPECT_EQ(kindCount(report, ViolationKind::FenceSc), 1u)
+        << report.summary();
+    EXPECT_EQ(report.stats.totalViolations(), 1u) << report.summary();
+}
+
+// One trace per source of forced SC-fence edges. Every edge the checker
+// adds when a fence arrives points into that fresh fence, so only the
+// read-side "read of an overwritten value" edge can close a cycle; each
+// trace below pairs one such closing edge with exactly one edge from
+// the rule under test, which no other rule derives.
+
+TEST(FenceScRules, ReadOfOverwrittenValue)
+{
+    // Store buffering: F0 -> F1 and F1 -> F0, both because a fenced
+    // read missed a write that precedes the other thread's fence.
+    ScTrace tr(2, 2);
+    tr.put(0, 0, 1);
+    tr.fence(0);
+    tr.put(1, 1, 1);
+    tr.fence(1);
+    tr.get(0, 1, 0, 1);
+    tr.get(1, 0, 0, 0);
+    const ConformReport report = tr.check();
+    expectOneFenceScCycle(report);
+    ASSERT_EQ(report.violations.size(), 1u);
+    EXPECT_NE(report.violations[0].detail.find(
+                  "read of an overwritten value forces"),
+              std::string::npos);
+}
+
+TEST(FenceScRules, Communication)
+{
+    // Message passing: t1 reads a write po-after F0, so F0 -> G; G then
+    // reads an initial value that a write po-before F0 overwrote.
+    ScTrace tr(2, 2);
+    tr.put(0, 0, 1);
+    tr.fence(0); // F0
+    const auto flag = tr.put(0, 1, 1);
+    tr.get(1, 1, 1, flag);
+    tr.fence(1); // G: F0 -> G by communication
+    tr.get(1, 0, 0, 0);
+    expectOneFenceScCycle(tr.check());
+}
+
+TEST(FenceScRules, ProgramOrder)
+{
+    // As Communication, but the read of the initial value follows a
+    // second fence G2: the cycle F0 -> G1 -> G2 -> F0 needs G1 -> G2.
+    ScTrace tr(2, 2);
+    tr.put(0, 0, 1);
+    tr.fence(0); // F0
+    const auto flag = tr.put(0, 1, 1);
+    tr.get(1, 1, 1, flag);
+    tr.fence(1); // G1
+    tr.fence(1); // G2: G1 -> G2 by program order
+    tr.get(1, 0, 0, 0);
+    expectOneFenceScCycle(tr.check());
+}
+
+TEST(FenceScRules, CoherenceOrder)
+{
+    // t1's write to m0 is coherence-after t0's, which is po-after F.
+    // G1 is CTA-scoped, so it is not morally strong with F: the commit's
+    // communication obligation F -> G1 is dropped and consumed. Only the
+    // coherence-order rule, revisiting t1's committed write at G2,
+    // forces F -> G2.
+    ScTrace tr(2, 2);
+    tr.put(0, 1, 1);
+    tr.fence(0); // F
+    tr.put(0, 0, 1);
+    tr.put(1, 0, 2);
+    tr.fence(1, Scope::Cta); // G1
+    tr.fence(1);             // G2: F -> G2 by coherence order
+    tr.get(1, 1, 0, 1);
+    expectOneFenceScCycle(tr.check());
+}
+
+TEST(FenceScRules, ReadBeforeOverwrite)
+{
+    // t0's fenced read of m0's initial value happens after t1's
+    // overwrite committed, so no commit carries the obligation: only
+    // the read-before-overwrite rule, visiting t1's write at G, forces
+    // F0 -> G.
+    ScTrace tr(2, 2);
+    tr.put(0, 1, 1);
+    tr.put(1, 0, 1);
+    tr.fence(0); // F0
+    tr.get(0, 0, 0, 0);
+    tr.fence(1); // G: F0 -> G by read before overwrite
+    tr.get(1, 1, 0, 1);
+    expectOneFenceScCycle(tr.check());
+}
+
+TEST(FenceScRules, FencesAfterAWriteAreCappedAtTheNewest)
+{
+    // As Communication, with more SC fences after t0's first write: the
+    // read of the initial value forces G before each of them, and the
+    // cycle needs G -> F1. A write remembers only the newest kCap = 8
+    // fences po-after it, so a ninth fence pushes F1 out and the
+    // (under-approximating) verdict flips to conformant.
+    for (const std::size_t fences : {std::size_t{8}, std::size_t{9}}) {
+        ScTrace tr(2, 2);
+        tr.put(0, 0, 1);
+        tr.fence(0); // F1
+        const auto flag = tr.put(0, 1, 1);
+        for (std::size_t i = 1; i < fences; i++)
+            tr.fence(0);
+        tr.get(1, 1, 1, flag);
+        tr.fence(1); // G: F1 -> G by communication
+        tr.get(1, 0, 0, 0);
+        const ConformReport report = tr.check();
+        if (fences == 8)
+            expectOneFenceScCycle(report);
+        else
+            EXPECT_TRUE(report.conformant()) << report.summary();
+    }
+}
+
+/**
+ * Three threads each fill a private location and fence @p rounds
+ * times, with t0 also writing m4; then t1 reads m4 (the stale value
+ * before t0's last write when @p stale) in a read-before-overwrite
+ * cycle like FenceScRules.ReadBeforeOverwrite.
+ */
+ConformReport
+checkAfterRetirement(std::size_t window, bool stale)
+{
+    constexpr std::size_t kRounds = 40;
+    ScTrace tr(3, 5);
+    std::uint64_t prevM4 = 4;
+    std::uint64_t lastM4 = 4;
+    for (std::uint64_t r = 1; r <= kRounds; r++) {
+        for (std::size_t t = 0; t < 3; t++) {
+            const auto uid = tr.put(t, t, r);
+            tr.get(t, t, r, uid);
+            tr.fence(t);
+        }
+        prevM4 = lastM4;
+        lastM4 = tr.put(0, 4, r);
+    }
+    tr.put(1, 3, 1);
+    tr.fence(0); // F0
+    tr.get(0, 3, 0, 3);
+    tr.fence(1); // G: F0 -> G by read before overwrite
+    if (stale)
+        tr.get(1, 4, kRounds - 1, prevM4); // G -> F0: a cycle
+    else
+        tr.get(1, 4, kRounds, lastM4);
+    ConformOptions opts;
+    opts.window = window;
+    return tr.check(opts);
+}
+
+TEST(FenceScRules, CycleAfterRetirementRounds)
+{
+    for (const std::size_t window : {std::size_t{8}, std::size_t{1024}}) {
+        const ConformReport report = checkAfterRetirement(window, true);
+        expectOneFenceScCycle(report);
+        if (window == 8) {
+            EXPECT_GT(report.stats.retiredWrites, 0u);
+            EXPECT_GT(report.stats.retiredFences, 0u);
+        }
+    }
+}
+
+TEST(FenceScRules, ConformantVerdictSameAtSmallAndLargeWindow)
+{
+    const ConformReport small = checkAfterRetirement(8, false);
+    const ConformReport large = checkAfterRetirement(1024, false);
+    EXPECT_TRUE(small.conformant()) << small.summary();
+    EXPECT_TRUE(large.conformant()) << large.summary();
+    EXPECT_GT(small.stats.retiredWrites, 0u);
+    EXPECT_EQ(large.stats.retiredWrites, 0u);
+}
+
+TEST(FenceScRules, ViolationOrderIsDeterministic)
+{
+    // Two independent store-buffering cycles (t0/t1 on m0/m1, t2/t3 on
+    // m2/m3): two checks print byte-identical summaries.
+    const auto summary = [] {
+        ScTrace tr(4, 4);
+        for (std::size_t pair = 0; pair < 2; pair++) {
+            const std::size_t a = 2 * pair, b = a + 1;
+            tr.put(a, a, 1);
+            tr.fence(a);
+            tr.put(b, b, 1);
+            tr.fence(b);
+        }
+        for (std::size_t pair = 0; pair < 2; pair++) {
+            const std::size_t a = 2 * pair, b = a + 1;
+            tr.get(a, b, 0, b);
+            tr.get(b, a, 0, a);
+        }
+        const ConformReport report = tr.check();
+        EXPECT_EQ(kindCount(report, ViolationKind::FenceSc), 2u)
+            << report.summary();
+        return report.summary();
+    };
+    EXPECT_EQ(summary(), summary());
+}
+
 TEST(StreamChecker, SummaryNamesTestAndVerdict)
 {
     std::stringstream ss;
