@@ -15,7 +15,9 @@
  * location sets (store, commit, load-back), which keeps every event
  * conformant by construction while filling all T windows at once —
  * the retirement path, not the violation path, is what 1M clean events
- * exercises.
+ * exercises. A second variant adds an SC fence to about 1% of the
+ * events, spread over all threads, so the fence-SC path (each fence
+ * visits its thread's live committed writes) is timed as well.
  */
 
 #include <chrono>
@@ -39,6 +41,9 @@ using namespace mixedproxy::bench;
 
 namespace {
 
+/** One SC fence per this many turns: about 1% of the events. */
+constexpr std::size_t kFencedTurns = 33;
+
 /**
  * Build a conformant synthetic trace with ~@p events events: @p
  * threads threads round-robin over @p locsPerThread private locations,
@@ -46,17 +51,20 @@ namespace {
  * scope). Private locations mean no cross-thread rf/coherence edges,
  * so the trace is conformant for every interleaving the round-robin
  * produces; the per-location commit streams still grow without bound,
- * which is exactly what forces the checker's window retirement.
+ * which is exactly what forces the checker's window retirement. With
+ * @p fenceEvery > 0, every fenceEvery-th turn ends in a GPU-scope SC
+ * fence; the forced SC edges are then all program-order consistent.
  */
 std::string
-syntheticTrace(std::size_t events, std::size_t threads = 4,
-               std::size_t locsPerThread = 2)
+syntheticTrace(std::size_t events, std::size_t fenceEvery = 0,
+               std::size_t threads = 4, std::size_t locsPerThread = 2)
 {
     std::ostringstream out;
     conform::TraceWriter writer(out);
 
     conform::TraceHeader header;
-    header.test = "synthetic_" + std::to_string(events);
+    header.test = "synthetic_" + std::to_string(events) +
+                  (fenceEvery ? "_fenced" : "");
     const std::size_t nLocs = threads * locsPerThread;
     for (std::size_t t = 0; t < threads; t++)
         header.threads.push_back(
@@ -81,6 +89,11 @@ syntheticTrace(std::size_t events, std::size_t threads = 4,
                     litmus::Scope::Gpu, litmus::ProxyKind::Generic,
                     "");
         emitted += 3;
+        if (fenceEvery && turn % fenceEvery == fenceEvery - 1 &&
+            emitted < events) {
+            writer.fence(t, litmus::Semantics::Sc, litmus::Scope::Gpu);
+            emitted++;
+        }
     }
     for (std::size_t l = 0; l < nLocs; l++)
         outcome.memory[header.locations[l].name] = value[l];
@@ -141,18 +154,23 @@ printThroughputTable()
            "million-event traces check in window-bounded memory at "
            ">= 100k events/sec");
 
-    std::printf("%-12s %-10s %-12s %-14s %-14s\n", "events", "wall ms",
-                "events/sec", "peak window", "retired");
+    std::printf("%-12s %-10s %-10s %-12s %-14s %-14s\n", "events",
+                "sc fences", "wall ms", "events/sec", "peak window",
+                "retired");
     rule();
-    for (std::size_t events :
-         {std::size_t{10'000}, std::size_t{100'000},
-          std::size_t{1'000'000}}) {
-        const std::string trace = syntheticTrace(events);
-        Run run = checkBest(trace);
-        std::printf("%-12zu %-10.1f %-12.0f %-14zu %-14llu\n", events,
-                    run.ms, eventsPerSec(run), run.stats.peakWindow,
-                    static_cast<unsigned long long>(
-                        run.stats.retiredWrites));
+    for (std::size_t fenceEvery : {std::size_t{0}, kFencedTurns}) {
+        for (std::size_t events :
+             {std::size_t{10'000}, std::size_t{100'000},
+              std::size_t{1'000'000}}) {
+            const std::string trace = syntheticTrace(events, fenceEvery);
+            Run run = checkBest(trace);
+            std::printf("%-12zu %-10llu %-10.1f %-12.0f %-14zu %-14llu\n",
+                        events,
+                        static_cast<unsigned long long>(run.stats.fences),
+                        run.ms, eventsPerSec(run), run.stats.peakWindow,
+                        static_cast<unsigned long long>(
+                            run.stats.retiredWrites));
+        }
     }
     rule();
     std::printf("\n");
@@ -166,8 +184,7 @@ printWindowTable()
            "trace length");
 
     // Single runs: this table is about residency (peak/retired, which
-    // are deterministic), not timing, and per-event cost grows with
-    // the live window, so repeated large-window sweeps get expensive.
+    // are deterministic), not timing.
     const std::string trace = syntheticTrace(1'000'000);
     std::printf("%-10s %-10s %-14s %-14s\n", "window", "wall ms",
                 "peak window", "retired");
@@ -212,12 +229,20 @@ writeStatsJson()
         obs::gauge("trace_conform.wall_ms.1m_events", run.ms);
         obs::gauge("trace_conform.peak_window",
                    static_cast<double>(run.stats.peakWindow));
+        const std::string fenced =
+            syntheticTrace(1'000'000, kFencedTurns);
+        Run fencedRun = checkBest(fenced);
+        obs::gauge("trace_conform.events_per_sec.sc_fenced",
+                   eventsPerSec(fencedRun));
+        obs::gauge("trace_conform.wall_ms.1m_events_sc_fenced",
+                   fencedRun.ms);
     }
     session.disable();
 
     std::map<std::string, std::string> meta;
     meta["bench"] = "trace_conform";
-    meta["workload"] = "synthetic_1m_events_4t_window1024_bestof3";
+    meta["workload"] =
+        "synthetic_1m_events_4t_window1024_bestof3_plain_and_1pct_sc";
     const std::filesystem::path path = dir / "trace_conform.stats.json";
     std::ofstream out(path);
     if (out) {

@@ -86,16 +86,18 @@ struct FenceSet
 
     std::vector<std::uint64_t> ids;
 
-    void
+    /** Add @p fid; returns whether the set changed. */
+    bool
     add(std::uint64_t fid)
     {
         for (std::uint64_t have : ids) {
             if (have == fid)
-                return;
+                return false;
         }
         if (ids.size() >= kCap)
             ids.erase(ids.begin());
         ids.push_back(fid);
+        return true;
     }
 
     void clear() { ids.clear(); }
@@ -137,26 +139,43 @@ struct StreamChecker::Impl
         bool isRmw = false;
         std::uint64_t rmwRf = kNoUid; ///< RMW only: read-from uid
         std::uint64_t coPos = 0;      ///< per-location commit number
-        relation::EventId localId = 0; ///< id in the location's graph
         std::vector<std::uint64_t> clock; ///< issue-time VC snapshot
         std::uint64_t fenceBefore = kNoFence; ///< last SC fence po-before
-        FenceSet fencesAfter;  ///< SC fences po-after (so far)
+        /** The issuer's SC-fence count at issue (see forFencesAfter). */
+        std::uint64_t scFencesBefore = 0;
         FenceSet readerFences; ///< SC fences po-before observers
     };
 
-    /** Live writes by uid (issued-but-uncommitted plus windowed). */
+    /**
+     * Live writes by uid (issued-but-uncommitted plus windowed). Nodes
+     * are stable, so the per-location lists below hold pointers.
+     */
     std::unordered_map<std::uint64_t, WriteInfo> writes;
+
+    /**
+     * One thread's live committed writes at one location, and how far
+     * its SC fences have discharged what their co-predecessors owe.
+     */
+    struct OwnWrites
+    {
+        /** Commit numbers, ascending; popped as the location retires. */
+        std::deque<std::uint64_t> coPos;
+        /**
+         * Writes with commit numbers below mark owe nothing beyond
+         * edges already forced into SC fence `at` of this thread (see
+         * onFence).
+         */
+        std::uint64_t mark = 0;
+        std::uint64_t at = kNoFence;
+    };
 
     struct LocationState
     {
-        explicit LocationState(std::size_t window) : graph(window) {}
-
-        /** Live committed uids, in commit (= coherence) order. */
-        std::deque<std::uint64_t> co;
-        /** Transitively closed commit-order chain over localIds. */
-        relation::WindowedRelation graph;
+        /** Live committed writes, in commit (= coherence) order. */
+        std::deque<WriteInfo *> co;
+        /** Per thread; sized at the first commit. */
+        std::vector<OwnWrites> own;
         std::uint64_t nextCoPos = 0;
-        relation::EventId nextLocalId = 0;
         /** uids below this were retired (reads of them are unknown). */
         std::uint64_t uidFloor = 0;
         /**
@@ -184,7 +203,25 @@ struct StreamChecker::Impl
     std::deque<FenceInfo> liveFences; ///< fid-dense, ascending
     std::uint64_t nextFid = 0;
     std::uint64_t fidFloor = 0; ///< fids below this were retired
-    std::vector<std::uint64_t> lastScFence; ///< per thread
+
+    /** One thread's SC fences: how many, and the newest kCap ids. */
+    struct ScHistory
+    {
+        std::uint64_t count = 0;
+        std::array<std::uint64_t, FenceSet::kCap> newest{};
+        /**
+         * Oldest fence from which every later SC fence of the thread is
+         * forced after it by program-order edges in scGraph.
+         */
+        std::uint64_t chainStart = kNoFence;
+
+        void
+        push(std::uint64_t fid)
+        {
+            newest[count++ % FenceSet::kCap] = fid;
+        }
+    };
+    std::vector<ScHistory> scHistory; ///< per thread
     /** Per thread: fence ids owed an edge into its next SC fence. */
     std::vector<FenceSet> pendingRead;
 
@@ -270,13 +307,44 @@ struct StreamChecker::Impl
     }
 
     /** Deque index of the committed write with commit number coPos. */
-    std::size_t
-    coIndexOf(const LocationState &loc, std::uint64_t coPos) const
+    static std::size_t
+    coIndexOf(const LocationState &loc, std::uint64_t coPos)
     {
         // loc.co is dense in commit numbers: front() holds the oldest
         // live one.
-        const std::uint64_t base = writes.at(loc.co.front()).coPos;
-        return (std::size_t)(coPos - base);
+        return (std::size_t)(coPos - loc.co.front()->coPos);
+    }
+
+    /** Thread t's last SC fence, or kNoFence if none is live. */
+    std::uint64_t
+    lastLiveScFence(std::size_t t) const
+    {
+        const ScHistory &h = scHistory[t];
+        if (h.count == 0)
+            return kNoFence;
+        const std::uint64_t fid =
+            h.newest[(h.count - 1) % FenceSet::kCap];
+        return fid >= fidFloor ? fid : kNoFence;
+    }
+
+    /**
+     * Call fn(fid) for the SC fences program-order-after write w,
+     * oldest first: the newest FenceSet::kCap its issuer has issued
+     * since w, exactly what a capped FenceSet fed every such fence
+     * would hold.
+     */
+    template <typename Fn>
+    void
+    forFencesAfter(const WriteInfo &w, Fn fn) const
+    {
+        if (w.thread == kNoThread)
+            return;
+        const ScHistory &h = scHistory[w.thread];
+        std::uint64_t k = std::max<std::uint64_t>(
+            w.scFencesBefore,
+            h.count > FenceSet::kCap ? h.count - FenceSet::kCap : 0);
+        for (; k < h.count; k++)
+            fn(h.newest[k % FenceSet::kCap]);
     }
 
     bool
@@ -324,21 +392,28 @@ struct StreamChecker::Impl
     /**
      * Record the forced SC edge before -> after; a cycle is a fence-SC
      * violation. Edges between fences that are not morally strong with
-     * each other are not forced by the axiom and are skipped.
+     * each other are not forced by the axiom and are skipped. Returns
+     * whether the obligation is discharged for good: before is retired
+     * (it can never convict again) or scGraph now orders before ahead
+     * of after.
      */
-    void
+    bool
     addScEdge(std::uint64_t before, std::uint64_t after,
               std::uint64_t seq, const char *why)
     {
-        if (before == after || before < fidFloor || after < fidFloor)
-            return;
+        if (before < fidFloor)
+            return true;
+        if (before == after || after < fidFloor)
+            return false;
         const FenceInfo &fb = liveFences[before - fidFloorBase()];
         const FenceInfo &fa = liveFences[after - fidFloorBase()];
         if (!scopeIncludes(fb.scope, fb.thread, fa.thread) ||
             !scopeIncludes(fa.scope, fa.thread, fb.thread))
-            return;
-        if (scGraph.contains(before, after))
-            return;
+            return false;
+        if (scGraph.contains(before, after)) {
+            report.stats.scEdgesRedundant++;
+            return true;
+        }
         if (scGraph.insertWouldCycle(before, after)) {
             violation(ViolationKind::FenceSc, seq,
                       std::string("forced SC-fence order is cyclic (") +
@@ -348,9 +423,11 @@ struct StreamChecker::Impl
                           std::to_string(fa.seq) +
                           ", but the reverse order is already forced)",
                       {fb.seq, fa.seq});
-            return;
+            return false;
         }
         scGraph.insertClosure(before, after);
+        report.stats.scEdgesAdded++;
+        return true;
     }
 
     std::uint64_t
@@ -414,9 +491,8 @@ struct StreamChecker::Impl
         if (ev.proxy != litmus::ProxyKind::Async)
             vc[ev.thread][ev.thread]++;
         w.clock = vc[ev.thread];
-        if (lastScFence[ev.thread] != kNoFence &&
-            lastScFence[ev.thread] >= fidFloor)
-            w.fenceBefore = lastScFence[ev.thread];
+        w.fenceBefore = lastLiveScFence(ev.thread);
+        w.scFencesBefore = scHistory[ev.thread].count;
         writes.emplace(ev.uid, std::move(w));
         if (writes.size() > report.stats.peakWindow)
             report.stats.peakWindow = writes.size();
@@ -427,19 +503,14 @@ struct StreamChecker::Impl
     {
         const std::size_t drop = loc.co.size() / 2;
         std::uint64_t floor = loc.uidFloor;
-        relation::EventId localFloor = 0;
         for (std::size_t i = 0; i < drop; i++) {
-            const std::uint64_t uid = loc.co.front();
+            const WriteInfo *w = loc.co.front();
             loc.co.pop_front();
-            auto it = writes.find(uid);
-            if (it != writes.end()) {
-                localFloor = it->second.localId + 1;
-                if (uid + 1 > floor)
-                    floor = uid + 1;
-                writes.erase(it);
-            }
+            if (w->thread != kNoThread)
+                loc.own[w->thread].coPos.pop_front();
+            floor = std::max(floor, w->uid + 1);
+            writes.erase(w->uid);
         }
-        loc.graph.retireBelow(localFloor);
         loc.uidFloor = floor;
         report.stats.retiredWrites += drop;
     }
@@ -463,6 +534,12 @@ struct StreamChecker::Impl
             return;
         }
         LocationState &loc = locState[w.location];
+        if (loc.own.empty()) {
+            loc.own.resize(threads.size());
+            loc.maxClock.assign(threads.size(), 0);
+            loc.maxClockUid.assign(threads.size(), 0);
+            loc.maxClockSeq.assign(threads.size(), 0);
+        }
         if (loc.co.size() >= opts.window)
             retireLocation(loc);
 
@@ -470,11 +547,6 @@ struct StreamChecker::Impl
         // already committed at this location. The per-thread max of
         // committed snapshots answers that in O(threads), and survives
         // retirement.
-        if (loc.maxClock.empty()) {
-            loc.maxClock.assign(threads.size(), 0);
-            loc.maxClockUid.assign(threads.size(), 0);
-            loc.maxClockSeq.assign(threads.size(), 0);
-        }
         // Only generic-proxy writes make (and are held to) causality
         // claims here: an async or surface write's snapshot reflects
         // the issuing thread's clock, but the paths themselves are
@@ -502,11 +574,11 @@ struct StreamChecker::Impl
         if (w.isRmw && w.rmwRf != kNoUid) {
             auto src = writes.find(w.rmwRf);
             if (src != writes.end() && src->second.committed &&
-                !loc.co.empty() && loc.co.back() != w.rmwRf) {
+                loc.co.back() != &src->second) {
                 const std::size_t from =
                     coIndexOf(loc, src->second.coPos) + 1;
                 for (std::size_t i = from; i < loc.co.size(); i++) {
-                    const WriteInfo &mid = writes.at(loc.co[i]);
+                    const WriteInfo &mid = *loc.co[i];
                     if (morallyStrong(mid.sem, mid.scope, mid.thread,
                                       w.sem, w.scope, w.thread)) {
                         violation(
@@ -524,24 +596,12 @@ struct StreamChecker::Impl
             }
         }
 
-        // Admit into the location's windowed coherence graph and extend
-        // the closed commit-order chain.
+        // Append to the location's coherence order; coPos is the order.
         w.committed = true;
         w.coPos = loc.nextCoPos++;
-        w.localId = loc.nextLocalId++;
-        loc.graph.admit(w.localId);
-        if (!loc.co.empty()) {
-            const WriteInfo &last = writes.at(loc.co.back());
-            if (loc.graph.insertWouldCycle(last.localId, w.localId)) {
-                violation(ViolationKind::Coherence, ev.seq,
-                          "commit-order chain became cyclic at uid " +
-                              std::to_string(w.uid),
-                          {last.seq, w.seq});
-            } else {
-                loc.graph.insertClosure(last.localId, w.localId);
-            }
-        }
-        loc.co.push_back(w.uid);
+        loc.co.push_back(&w);
+        if (w.thread != kNoThread)
+            loc.own[w.thread].coPos.push_back(w.coPos);
 
         // Fold this write's snapshot into the per-thread maxima.
         if (w.thread != kNoThread && genericWrite) {
@@ -558,8 +618,7 @@ struct StreamChecker::Impl
         // forces edges when this thread's later fences arrive; collect
         // the co-predecessor's obligations onto this thread.
         if (w.thread != kNoThread && loc.co.size() >= 2) {
-            const WriteInfo &prev =
-                writes.at(loc.co[loc.co.size() - 2]);
+            const WriteInfo &prev = *loc.co[loc.co.size() - 2];
             if (prev.fenceBefore != kNoFence &&
                 prev.fenceBefore >= fidFloor)
                 pendingRead[w.thread].add(prev.fenceBefore);
@@ -614,15 +673,22 @@ struct StreamChecker::Impl
         // Causality (staleness): reading w is illegal if some same-proxy
         // write w', coherence-after w, already happens-before this read.
         // Fast path: reads of the coherence-latest write skip the scan.
-        const std::uint64_t fenceA =
-            (lastScFence[t] != kNoFence && lastScFence[t] >= fidFloor)
-                ? lastScFence[t]
-                : kNoFence;
+        const std::uint64_t fenceA = lastLiveScFence(t);
         if (w && w->committed) {
-            if (fenceA != kNoFence)
-                w->readerFences.add(fenceA);
             LocationState &loc = locState[ev.location];
-            if (!loc.co.empty() && loc.co.back() != w->uid) {
+            const bool overwritten = loc.co.back() != w;
+            if (fenceA != kNoFence && w->readerFences.add(fenceA) &&
+                overwritten) {
+                // w's co-successor owes the next fences of its thread
+                // a new edge: reopen it for onFence.
+                const WriteInfo &next =
+                    *loc.co[coIndexOf(loc, w->coPos) + 1];
+                if (next.thread != kNoThread) {
+                    OwnWrites &mine = loc.own[next.thread];
+                    mine.mark = std::min(mine.mark, next.coPos);
+                }
+            }
+            if (overwritten) {
                 // The staleness conviction only applies when write,
                 // read, and the later write all live in the generic
                 // proxy: non-generic caches are legitimately
@@ -634,7 +700,7 @@ struct StreamChecker::Impl
                 const std::size_t from = coIndexOf(loc, w->coPos) + 1;
                 bool flagged = false;
                 for (std::size_t i = from; i < loc.co.size(); i++) {
-                    const WriteInfo &later = writes.at(loc.co[i]);
+                    const WriteInfo &later = *loc.co[i];
                     if (!flagged && generic &&
                         later.proxy == litmus::ProxyKind::Generic &&
                         later.thread != t && hbToNow(later, t)) {
@@ -652,11 +718,10 @@ struct StreamChecker::Impl
                     // before any fence already program-order-after a
                     // coherence-later write.
                     if (fenceA != kNoFence) {
-                        for (std::uint64_t fid :
-                             later.fencesAfter.ids) {
+                        forFencesAfter(later, [&](std::uint64_t fid) {
                             addScEdge(fenceA, fid, ev.seq,
                                       "read of an overwritten value");
-                        }
+                        });
                     }
                 }
             }
@@ -711,8 +776,11 @@ struct StreamChecker::Impl
         liveFences.push_back(FenceInfo{fid, ev.seq, t, ev.scope});
 
         // Program order chains this thread's SC fences.
-        if (lastScFence[t] != kNoFence && lastScFence[t] >= fidFloor)
-            addScEdge(lastScFence[t], fid, ev.seq, "program order");
+        ScHistory &history = scHistory[t];
+        const std::uint64_t last = lastLiveScFence(t);
+        if (last == kNoFence ||
+            !addScEdge(last, fid, ev.seq, "program order"))
+            history.chainStart = fid;
         // Communication observed by this thread forces earlier fences
         // before this one.
         for (std::uint64_t before : pendingRead[t].ids) {
@@ -726,30 +794,43 @@ struct StreamChecker::Impl
         // only causality channels this checker models.
 
         // This fence is program-order-after every live write this
-        // thread has issued; co-predecessors of the committed ones owe
-        // it an edge.
-        for (auto &[uid, w] : writes) {
-            if (w.thread != t)
+        // thread has issued (forFencesAfter derives that side);
+        // co-predecessors of the committed ones owe it an edge. Visit
+        // them by location, then commit order, skipping writes whose
+        // obligations were all discharged into an earlier fence of
+        // this thread that program order still chains to this one:
+        // closure already orders those edges ahead of this fence.
+        for (LocationState &loc : locState) {
+            if (loc.own.empty())
                 continue;
-            w.fencesAfter.add(fid);
-            if (!w.committed)
-                continue;
-            const LocationState &loc = locState[w.location];
-            if (w.coPos == 0)
-                continue;
-            // w's direct co-predecessor, if still in the window.
-            const std::size_t idx = coIndexOf(loc, w.coPos);
-            if (idx == 0)
-                continue;
-            const WriteInfo &prev = writes.at(loc.co[idx - 1]);
-            if (prev.fenceBefore != kNoFence)
-                addScEdge(prev.fenceBefore, fid, ev.seq,
-                          "coherence order");
-            for (std::uint64_t before : prev.readerFences.ids)
-                addScEdge(before, fid, ev.seq,
-                          "read before overwrite");
+            OwnWrites &mine = loc.own[t];
+            auto from = mine.coPos.begin();
+            if (mine.at != kNoFence && mine.at >= history.chainStart)
+                from = std::lower_bound(from, mine.coPos.end(),
+                                        mine.mark);
+            std::uint64_t open = loc.nextCoPos;
+            for (auto it = from; it != mine.coPos.end(); ++it) {
+                // The write's direct co-predecessor, if still in the
+                // window.
+                const std::size_t idx = coIndexOf(loc, *it);
+                if (idx == 0)
+                    continue;
+                const WriteInfo &prev = *loc.co[idx - 1];
+                bool done = true;
+                if (prev.fenceBefore != kNoFence)
+                    done = addScEdge(prev.fenceBefore, fid, ev.seq,
+                                     "coherence order");
+                for (std::uint64_t before : prev.readerFences.ids)
+                    done = addScEdge(before, fid, ev.seq,
+                                     "read before overwrite") &&
+                           done;
+                if (!done)
+                    open = std::min(open, *it);
+            }
+            mine.mark = open;
+            mine.at = fid;
         }
-        lastScFence[t] = fid;
+        history.push(fid);
     }
 
     void
@@ -822,15 +903,14 @@ StreamChecker::begin(const TraceHeader &header)
     st.locations = header.locations;
     st.vc.assign(st.threads.size(),
                  std::vector<std::uint64_t>(st.threads.size(), 0));
-    st.lastScFence.assign(st.threads.size(), kNoFence);
+    st.scHistory.assign(st.threads.size(), {});
     st.pendingRead.assign(st.threads.size(), {});
     for (const TraceThread &thread : st.threads)
         st.ctaSize[{thread.gpu, thread.cta}]++;
     st.locState.clear();
     st.locState.reserve(st.locations.size());
     for (std::size_t i = 0; i < st.locations.size(); i++) {
-        st.locState.emplace_back(st.opts.window);
-        Impl::LocationState &loc = st.locState.back();
+        Impl::LocationState &loc = st.locState.emplace_back();
         // The init write: uid i, committed first, before everything.
         Impl::WriteInfo init;
         init.uid = i;
@@ -838,10 +918,9 @@ StreamChecker::begin(const TraceHeader &header)
         init.value = st.locations[i].init;
         init.committed = true;
         init.coPos = loc.nextCoPos++;
-        init.localId = loc.nextLocalId++;
-        loc.graph.admit(init.localId);
-        loc.co.push_back(i);
-        st.writes.emplace(i, std::move(init));
+        Impl::WriteInfo &stored =
+            st.writes.emplace(i, std::move(init)).first->second;
+        loc.co.push_back(&stored);
     }
     if (st.writes.size() > st.report.stats.peakWindow)
         st.report.stats.peakWindow = st.writes.size();
@@ -928,7 +1007,7 @@ StreamChecker::footer(const TraceFooter &footer)
         const Impl::LocationState &loc = st.locState[i];
         std::uint64_t final = st.locations[i].init;
         if (!loc.co.empty())
-            final = st.writes.at(loc.co.back()).value;
+            final = loc.co.back()->value;
         auto it = footer.memory.find(st.locations[i].name);
         if (it == footer.memory.end()) {
             st.violation(ViolationKind::Malformed, 0,
@@ -981,6 +1060,8 @@ StreamChecker::finish()
     obs::count("conform.rf_unknown", stats.rfUnknown);
     obs::count("conform.retired_writes", stats.retiredWrites);
     obs::count("conform.retired_fences", stats.retiredFences);
+    obs::count("conform.sc_edges.added", stats.scEdgesAdded);
+    obs::count("conform.sc_edges.redundant", stats.scEdgesRedundant);
     static const char *const kKindCounter[kViolationKinds] = {
         "conform.violations.malformed", "conform.violations.rf_value",
         "conform.violations.coherence", "conform.violations.causality",

@@ -15,11 +15,13 @@
  *
  * The checker is windowed: it keeps O(window) live writes per location
  * and O(window) live SC fences, retiring the oldest as the trace
- * advances, so a million-event trace checks in bounded memory. The
- * per-location coherence graphs and the global fence-SC graph are
- * relation::WindowedRelation instances — the same closure kernels the
- * batch checker uses on dense storage, running on the banded
- * sliding-window backend.
+ * advances, so a million-event trace checks in bounded memory.
+ * Coherence order needs no graph: each location keeps its live writes
+ * in commit order, and a write's commit number is its position. The
+ * one graph is the global forced SC-fence order, a transitively closed
+ * relation::WindowedRelation over live fence ids. A commit costs O(1)
+ * in the window and an SC fence visits only its own thread's live
+ * committed writes (docs/trace_conformance.md has the cost model).
  *
  * Soundness stance: every rule is an *under*-approximation of the
  * model's causality relation (vector clocks built from program order,
@@ -100,6 +102,8 @@ struct ConformStats
     std::uint64_t rfUnknown = 0;      ///< rf named a retired write
     std::uint64_t retiredWrites = 0;  ///< writes retired from windows
     std::uint64_t retiredFences = 0;  ///< SC fences retired
+    std::uint64_t scEdgesAdded = 0;     ///< forced SC edges inserted
+    std::uint64_t scEdgesRedundant = 0; ///< forced SC edges already known
     std::size_t peakWindow = 0;       ///< max live writes at once
     /** Violations by kind, indexed by (size_t)ViolationKind. */
     std::array<std::uint64_t, kViolationKinds> byKind{};

@@ -531,6 +531,41 @@ TEST(FenceScRules, ReadBeforeOverwrite)
     expectOneFenceScCycle(tr.check());
 }
 
+TEST(FenceScRules, ReadBeforeOverwriteAfterAnEarlierFence)
+{
+    // As ReadBeforeOverwrite, but t1 fences once before t0's read: the
+    // read adds an obligation to a write an earlier fence already
+    // visited, and G must still pick it up. G0 is CTA-scoped, so the
+    // read's own edge F0 -> G0 is not forced and cannot reach G.
+    ScTrace tr(2, 2);
+    tr.put(0, 1, 1);
+    tr.put(1, 0, 1);
+    tr.fence(1, Scope::Cta); // G0: nothing owed yet
+    tr.fence(0); // F0
+    tr.get(0, 0, 0, 0);
+    tr.fence(1); // G: F0 -> G by read before overwrite
+    tr.get(1, 1, 0, 1);
+    expectOneFenceScCycle(tr.check());
+}
+
+TEST(FenceScRules, CoherenceOrderAcrossAnUnscopedFence)
+{
+    // As CoherenceOrder, but F -> G1 holds and G2 follows an unscoped
+    // SC fence, which no program-order edge chains to G1: G2 is not
+    // ordered after G1, so the coherence-order rule must force F -> G2
+    // itself.
+    ScTrace tr(2, 2);
+    tr.put(0, 1, 1);
+    tr.fence(0); // F
+    tr.put(0, 0, 1);
+    tr.put(1, 0, 2);
+    tr.fence(1);              // G1: F -> G1
+    tr.fence(1, Scope::None); // morally strong with no fence
+    tr.fence(1);              // G2: F -> G2 by coherence order
+    tr.get(1, 1, 0, 1);
+    expectOneFenceScCycle(tr.check());
+}
+
 TEST(FenceScRules, FencesAfterAWriteAreCappedAtTheNewest)
 {
     // As Communication, with more SC fences after t0's first write: the
