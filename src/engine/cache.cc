@@ -376,18 +376,18 @@ std::string
 VerdictCache::fingerprint(const std::string &canonicalKey,
                           model::ProxyMode mode, bool staticFastPath,
                           std::uint64_t maxExecutions,
-                          model::PresolvePolicy presolve,
-                          model::EnumCore enumCore)
+                          model::PresolvePolicy presolve)
 {
-    // "fp3" guards this layout the way the canonical key's own version
+    // "fp4" guards this layout the way the canonical key's own version
     // tag guards its serialization; any knob added to CheckOptions that
-    // can change the outcome set must be appended here.
+    // can change the outcome set must be appended here, and the tag
+    // bumped when a knob's meaning changes (docs/service.md).
     std::ostringstream os;
-    os << "fp3|mode=" << static_cast<int>(mode)
+    os << "fp4|mode=" << static_cast<int>(mode)
        << "|fast=" << (staticFastPath ? 1 : 0)
        << "|budget=" << maxExecutions
-       << "|presolve=" << static_cast<int>(presolve)
-       << "|core=" << static_cast<int>(enumCore) << '|' << canonicalKey;
+       << "|presolve=" << static_cast<int>(presolve) << '|'
+       << canonicalKey;
     return os.str();
 }
 

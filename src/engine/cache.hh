@@ -89,18 +89,13 @@ class VerdictCache
      * check has no outcome enumeration), even though non-Off requests
      * currently also bypass the cache for exactly that reason: keying
      * on it means a future cached-presolve tier can never collide with
-     * today's enumerated entries. The enumeration core is a knob for
-     * the same defensive reason: the cores are bit-identical by
-     * contract, but a cached incremental verdict must never satisfy a
-     * request that explicitly asked the legacy oracle to recompute.
+     * today's enumerated entries.
      */
     static std::string
     fingerprint(const std::string &canonicalKey, model::ProxyMode mode,
                 bool staticFastPath, std::uint64_t maxExecutions,
                 model::PresolvePolicy presolve =
-                    model::PresolvePolicy::Off,
-                model::EnumCore enumCore =
-                    model::EnumCore::Incremental);
+                    model::PresolvePolicy::Off);
 
     /**
      * Return the verdict for @p key, computing it with @p compute on a

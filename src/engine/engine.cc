@@ -87,7 +87,7 @@ Engine::checkCached(const litmus::LitmusTest &test,
 
     const std::string key = VerdictCache::fingerprint(
         form.key, mode, block.staticFastPath, block.maxExecutions,
-        block.presolve, block.enumCore);
+        block.presolve);
 
     CachedVerdict cached = verdictCache.lookupOrCompute(
         key,

@@ -73,23 +73,6 @@ struct CheckBlock
      */
     model::PresolvePolicy presolve = model::PresolvePolicy::Off;
 
-    /**
-     * See model::CheckOptions::profileEnum (CLI --profile-enum[=N]).
-     * Deliberately not part of the cache fingerprint: sampling never
-     * changes verdicts, only adds live "checker.enum.sampled.*"
-     * measurements.
-     */
-    std::uint64_t profileEnum = 0;
-
-    /**
-     * Enumeration core (model::CheckOptions::enumCore, CLI
-     * --enum-core). The two cores produce bit-identical verdicts by
-     * contract, but the fingerprint still separates them so a cached
-     * incremental verdict can never mask a divergence the legacy
-     * oracle was asked to expose.
-     */
-    model::EnumCore enumCore = model::EnumCore::Incremental;
-
     /** Whether the checker must record witnesses (either renderer). */
     bool collectWitnesses() const { return showWitnesses || dot; }
 
@@ -102,8 +85,6 @@ struct CheckBlock
         opts.staticFastPath = staticFastPath;
         opts.maxExecutions = maxExecutions;
         opts.presolve = presolve;
-        opts.profileEnum = profileEnum;
-        opts.enumCore = enumCore;
         return opts;
     }
 };

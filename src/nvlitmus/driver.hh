@@ -58,21 +58,6 @@ struct DriverOptions
      */
     bool presolveDiff = false;
 
-    /**
-     * Enumeration core for checks (--enum-core=MODE): incremental (the
-     * layered delta engine, default) or legacy (the monolithic
-     * per-candidate loop, kept as a differential oracle).
-     */
-    model::EnumCore enumCore = model::EnumCore::Incremental;
-
-    /**
-     * Differential harness for the enumeration cores (--enum-diff):
-     * check every input (default: all built-ins) under both cores and
-     * require identical outcomes, verdicts, and shared counters; exit
-     * 0 only on zero divergences.
-     */
-    bool enumDiff = false;
-
     /** Print one witness execution per outcome. */
     bool showWitnesses = false;
 
@@ -136,13 +121,12 @@ struct DriverOptions
     std::string statsJsonOut;
 
     /**
-     * Enumeration-profiler sampling (--profile-enum[=N], ISSUE 8):
-     * sample every Nth examined candidate for per-axiom wall-clock
-     * attribution and print the profiler breakdown table on stderr.
-     * 0 = off; the bare flag means N=1 (sample everything). Attaches
-     * the obs session like the sinks above.
+     * Print the enumeration-profiler breakdown table (rejections,
+     * depth histogram, branching, prune attribution) on stderr after
+     * the run (--profile-enum). Attaches the obs session like the
+     * sinks above.
      */
-    std::uint64_t profileEnum = 0;
+    bool enumProfileTable = false;
 
     /**
      * Write the session's metrics in Prometheus text exposition format

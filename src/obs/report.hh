@@ -47,7 +47,7 @@ std::string chromeTraceJson(const Tracer &tracer);
  *               "max_ms": ... }, ... },
  *   "conform": { "violations": { "<axiom>": <uint>, ... } },
  *   "enum_profile": { "rejections": {...}, "depth_histogram": {...},
- *                     "branching": {...}, "sampled": {...} }
+ *                     "branching": {...} }
  * }
  *
  * v2 (ISSUE 8): the "build" provenance object, and the enumeration-
@@ -55,8 +55,7 @@ std::string chromeTraceJson(const Tracer &tracer);
  * the structured "enum_profile" section — "checker.enum.reject.X"
  * becomes enum_profile.rejections.X, "checker.enum.depth.X" becomes
  * enum_profile.depth_histogram.X, "checker.enum.rf.X" / "co.X" become
- * enum_profile.branching."rf.X" / "co.X", and
- * "checker.enum.sampled.X" becomes enum_profile.sampled.X. The
+ * enum_profile.branching."rf.X" / "co.X". The
  * "conform" section (ISSUE 10) lifts the streaming conformance
  * checker's per-axiom violation counters the same way:
  * "conform.violations.X" becomes conform.violations.X.
@@ -75,9 +74,8 @@ std::string timingTable(const MetricsRegistry &registry);
 /**
  * Render the human enumeration-profiler breakdown (`--profile-enum`'s
  * --timing-style table): per-axiom rejection attribution, the
- * candidate depth histogram, rf/co branching factors, prune
- * attribution (fastpath + presolve), and — when sampling ran — the
- * sampled per-axiom wall-clock split.
+ * candidate depth histogram, rf/co branching factors and prune
+ * attribution (fastpath + presolve).
  */
 std::string enumProfileTable(const MetricsRegistry &registry);
 

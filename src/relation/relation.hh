@@ -873,9 +873,10 @@ totalOrderVisitRec(const std::vector<EventId> &ids, const Relation &closed,
  *
  * The push/pop hooks let the caller maintain incremental per-prefix
  * state (the checker re-checks per-location axioms as the coherence
- * order is extended). Enumeration order is identical to
- * forEachTotalOrder: at each step candidates are tried in ascending id
- * order.
+ * order is extended). At each step candidates are tried in ascending
+ * id order, so orders arrive in lexicographic order of their id
+ * sequences. A cyclic constraint admits no order: complete() is never
+ * called.
  *
  * @return false if visitor.complete ever returned false.
  */
@@ -891,21 +892,6 @@ forEachTotalOrderVisit(const EventSet &subset, const Relation &partial,
     return detail::totalOrderVisitRec(ids, partial.transitiveClosure(),
                                       placed, prefix, visitor);
 }
-
-/**
- * Enumerate every strict total order of @p subset consistent with the
- * partial constraint @p partial, invoking @p visit with each order (as a
- * vector of ids, least first). Enumeration stops early if @p visit
- * returns false.
- *
- * This drives the coherence-order and Fence-SC-order enumeration in the
- * model checker.
- *
- * @return false if @p visit ever returned false (enumeration aborted).
- */
-bool forEachTotalOrder(
-    const EventSet &subset, const Relation &partial,
-    const std::function<bool(const std::vector<EventId> &)> &visit);
 
 } // namespace mixedproxy::relation
 

@@ -269,48 +269,15 @@ TEST(Service, MetricsOpReportsLiveServiceState)
     EXPECT_TRUE(check->find("p95_ms") != nullptr);
 }
 
-TEST(Service, ProfileEnumKnobPublishesSampledCounters)
+TEST(Service, UnrecognisedKeysAreIgnored)
 {
     Engine engine;
-    // profile_enum samples every candidate of the (cache-missing)
-    // first check; the sampled counters merge into the live registry
-    // that the metrics op snapshots.
-    std::istringstream in(
-        "{\"test\":\"fig9_message_passing\",\"profile_enum\":1,"
-        "\"id\":0}\n"
-        "{\"op\":\"metrics\",\"id\":1}\n");
-    std::ostringstream out;
-    std::ostringstream err;
-    ServeOptions options;
-    options.jobs = 1;
-    ASSERT_EQ(serve(engine, options, in, out, err), 0);
-
-    std::string second = out.str().substr(out.str().find('\n') + 1);
-    auto metrics = json::parse(second);
-    ASSERT_TRUE(metrics) << second;
-    const json::Value *counters = metrics->find("counters");
-    ASSERT_TRUE(counters && counters->isObject());
-    const std::uint64_t candidates =
-        counters->uintOr("checker.candidates", 0);
-    EXPECT_GT(candidates, 0u);
-    EXPECT_EQ(counters->uintOr("checker.enum.sampled.candidates", 0),
-              candidates);
-    EXPECT_GT(counters->uintOr("checker.enum.sampled.co_build_ns", 0),
-              0u);
-}
-
-TEST(Service, EnumCoreKnobSelectsCoreAndRejectsUnknown)
-{
-    Engine engine;
-    // The two cores must answer identically (same passed verdict and
-    // outcome count); a bogus core name is a structured error, not a
-    // dead daemon.
+    // A key the protocol does not define (a retired knob, a typo) is
+    // ignored whatever its value: same verdict, same cache entry.
     std::istringstream in(
         "{\"test\":\"fig9_message_passing\",\"id\":0}\n"
         "{\"test\":\"fig9_message_passing\","
-        "\"enum_core\":\"legacy\",\"id\":1}\n"
-        "{\"test\":\"fig9_message_passing\","
-        "\"enum_core\":\"bogus\",\"id\":2}\n");
+        "\"frobnicate\":\"bogus\",\"level\":4,\"id\":1}\n");
     std::ostringstream out;
     std::ostringstream err;
     ServeOptions options;
@@ -318,23 +285,20 @@ TEST(Service, EnumCoreKnobSelectsCoreAndRejectsUnknown)
     ASSERT_EQ(serve(engine, options, in, out, err), 0);
 
     std::istringstream lines(out.str());
-    std::string first, second, third;
+    std::string first, second;
     std::getline(lines, first);
     std::getline(lines, second);
-    std::getline(lines, third);
-    auto incremental = json::parse(first);
-    auto legacy = json::parse(second);
-    auto bogus = json::parse(third);
-    ASSERT_TRUE(incremental && legacy && bogus);
-    EXPECT_TRUE(incremental->boolOr("ok", false));
-    EXPECT_TRUE(legacy->boolOr("ok", false));
-    EXPECT_EQ(incremental->boolOr("passed", false),
-              legacy->boolOr("passed", true));
-    EXPECT_EQ(incremental->stringOr("report", "a"),
-              legacy->stringOr("report", "b"));
-    EXPECT_FALSE(bogus->boolOr("ok", true));
-    EXPECT_NE(bogus->stringOr("error", "").find("enum core"),
-              std::string::npos);
+    auto plain = json::parse(first);
+    auto retired = json::parse(second);
+    ASSERT_TRUE(plain && retired);
+    EXPECT_TRUE(plain->boolOr("ok", false));
+    EXPECT_TRUE(retired->boolOr("ok", false));
+    EXPECT_EQ(plain->boolOr("passed", false),
+              retired->boolOr("passed", true));
+    EXPECT_EQ(plain->stringOr("report", "a"),
+              retired->stringOr("report", "b"));
+    // Same fingerprint: the second request is served from the cache.
+    EXPECT_TRUE(retired->boolOr("cache_hit", false));
 }
 
 TEST(Service, ErrorRequestsCountIntoErrorsTotal)

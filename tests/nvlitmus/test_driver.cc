@@ -138,61 +138,12 @@ TEST(ParseArgs, ObservabilityFlags)
 
 TEST(ParseArgs, ProfileEnumFlag)
 {
-    EXPECT_EQ(parseArgs({"x"}).profileEnum, 0u);
-    // The bare flag samples every candidate; =N sets the period.
-    EXPECT_EQ(parseArgs({"--profile-enum", "x"}).profileEnum, 1u);
-    EXPECT_EQ(parseArgs({"--profile-enum=8", "x"}).profileEnum, 8u);
-    EXPECT_THROW(parseArgs({"--profile-enum=0"}), FatalError);
+    EXPECT_FALSE(parseArgs({"x"}).enumProfileTable);
+    EXPECT_TRUE(parseArgs({"--profile-enum", "x"}).enumProfileTable);
+    // A bare flag only: no sampling period.
+    EXPECT_THROW(parseArgs({"--profile-enum=8"}), FatalError);
     EXPECT_THROW(parseArgs({"--profile-enum="}), FatalError);
-    EXPECT_THROW(parseArgs({"--profile-enum=abc"}), FatalError);
-    EXPECT_THROW(parseArgs({"--profile-enum=4x"}), FatalError);
     EXPECT_THROW(parseArgs({"--profile-enumx"}), FatalError);
-}
-
-TEST(ParseArgs, EnumCoreFlags)
-{
-    EXPECT_EQ(parseArgs({"x"}).enumCore, model::EnumCore::Incremental);
-    EXPECT_FALSE(parseArgs({"x"}).enumDiff);
-    EXPECT_EQ(parseArgs({"--enum-core=legacy", "x"}).enumCore,
-              model::EnumCore::Legacy);
-    EXPECT_EQ(parseArgs({"--enum-core", "incremental", "x"}).enumCore,
-              model::EnumCore::Incremental);
-    EXPECT_TRUE(parseArgs({"--enum-diff"}).enumDiff);
-    EXPECT_THROW(parseArgs({"--enum-core=bogus"}), FatalError);
-    EXPECT_THROW(parseArgs({"--enum-core"}), FatalError);
-    EXPECT_THROW(parseArgs({"--enum-diffx"}), FatalError);
-}
-
-TEST(Cli, EnumCoresProduceIdenticalReports)
-{
-    // The legacy core is a differential oracle: byte-identical stdout
-    // on the same input, whatever the outcome set looks like.
-    std::string incremental, legacy;
-    ASSERT_EQ(run({"fig9_message_passing"}, &incremental), 0);
-    ASSERT_EQ(
-        run({"--enum-core=legacy", "fig9_message_passing"}, &legacy),
-        0);
-    EXPECT_EQ(incremental, legacy);
-}
-
-TEST(Cli, EnumDiffReportsZeroDivergences)
-{
-    std::string out;
-    ASSERT_EQ(run({"--enum-diff", "fig9_message_passing",
-                   "fig8a_alias_fence"},
-                  &out),
-              0);
-    EXPECT_NE(out.find("0 divergences"), std::string::npos);
-    EXPECT_NE(out.find("ok    fig9_message_passing"),
-              std::string::npos);
-}
-
-TEST(Cli, HelpMentionsEnumCoreFlags)
-{
-    std::string out;
-    ASSERT_EQ(run({"--help"}, &out), 0);
-    EXPECT_NE(out.find("--enum-core"), std::string::npos);
-    EXPECT_NE(out.find("--enum-diff"), std::string::npos);
 }
 
 TEST(ParseArgs, MetricsOutAndLogJsonFlags)
@@ -250,6 +201,10 @@ TEST(Cli, UnknownFlagIsUsageError)
 {
     std::string err;
     EXPECT_EQ(run({"--frobnicate"}, nullptr, &err), 2);
+    // --profile-enum is a bare flag: a sampling period is unknown.
+    EXPECT_EQ(run({"--profile-enum=4", "fig9_message_passing"}, nullptr,
+                  &err),
+              2);
 }
 
 TEST(Cli, BuiltinTestByName)

@@ -86,7 +86,7 @@ TEST(StatsJson, EmptyRegistryIsValidAndComplete)
     EXPECT_TRUE(doc->at("timers").isObject());
     EXPECT_TRUE(doc->at("enum_profile").isObject());
     for (const char *section :
-         {"rejections", "depth_histogram", "branching", "sampled"}) {
+         {"rejections", "depth_histogram", "branching"}) {
         EXPECT_TRUE(doc->at("enum_profile").at(section).isObject())
             << section;
     }
@@ -116,7 +116,6 @@ TEST(StatsJson, EnumCountersAreLiftedIntoEnumProfile)
     reg.add("checker.enum.depth.overflow", 1);
     reg.add("checker.enum.rf.reads", 2);
     reg.add("checker.enum.co.orders", 6);
-    reg.add("checker.enum.sampled.candidates", 7);
     std::string error;
     auto doc = parseJson(statsJson(reg), &error);
     ASSERT_TRUE(doc.has_value()) << error;
@@ -132,7 +131,6 @@ TEST(StatsJson, EnumCountersAreLiftedIntoEnumProfile)
     EXPECT_DOUBLE_EQ(profile.at("branching").at("rf.reads").number, 2.0);
     EXPECT_DOUBLE_EQ(profile.at("branching").at("co.orders").number,
                      6.0);
-    EXPECT_DOUBLE_EQ(profile.at("sampled").at("candidates").number, 7.0);
 
     // Lifted counters must not be duplicated in the flat section;
     // everything else stays where it was.
@@ -246,21 +244,6 @@ TEST(EnumProfileTable, RendersEverySection)
     EXPECT_NE(table.find("(9/3)"), std::string::npos);
     EXPECT_NE(table.find("co orders per location"), std::string::npos);
     EXPECT_NE(table.find("fastpath hits"), std::string::npos);
-    // Without samples the table says how to get them.
-    EXPECT_NE(table.find("--profile-enum"), std::string::npos);
-}
-
-TEST(EnumProfileTable, SampledSectionShowsPerCandidateCost)
-{
-    MetricsRegistry reg;
-    reg.add("checker.enum.sampled.candidates", 4);
-    reg.add("checker.enum.sampled.co_build_ns", 8000);
-    reg.add("checker.enum.sampled.axiom.causality_b_ns", 4000);
-    std::string table = enumProfileTable(reg);
-    EXPECT_NE(table.find("sampled wall clock (4 candidates)"),
-              std::string::npos);
-    EXPECT_NE(table.find("co+fr build"), std::string::npos);
-    EXPECT_NE(table.find("axiom causality_b"), std::string::npos);
 }
 
 TEST(Prometheus, RendersAllMetricKindsAndBuildInfo)

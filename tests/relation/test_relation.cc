@@ -5,6 +5,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -17,7 +18,7 @@ namespace {
 using mixedproxy::PanicError;
 using mixedproxy::relation::EventId;
 using mixedproxy::relation::EventSet;
-using mixedproxy::relation::forEachTotalOrder;
+using mixedproxy::relation::forEachTotalOrderVisit;
 using mixedproxy::relation::Relation;
 
 TEST(Relation, EmptyOnConstruction)
@@ -206,65 +207,86 @@ TEST(Relation, UniverseMismatchPanics)
     EXPECT_THROW(a.compose(b), PanicError);
 }
 
+/**
+ * A total-order visitor that records every complete order (aborting
+ * after @p limit of them) and checks that push/pop bracket the prefix.
+ */
+struct OrderRecorder
+{
+    std::size_t limit = SIZE_MAX;
+    std::vector<std::vector<EventId>> orders;
+    std::size_t depth = 0;
+
+    void
+    push(EventId id, const std::vector<EventId> &prefix)
+    {
+        EXPECT_EQ(prefix.back(), id);
+        EXPECT_EQ(prefix.size(), ++depth);
+    }
+
+    void
+    pop(EventId id, const std::vector<EventId> &prefix)
+    {
+        EXPECT_EQ(prefix.back(), id);
+        EXPECT_EQ(prefix.size(), depth--);
+    }
+
+    bool
+    complete(const std::vector<EventId> &order)
+    {
+        orders.push_back(order);
+        return orders.size() < limit;
+    }
+};
+
 TEST(TotalOrderEnumeration, UnconstrainedIsFactorial)
 {
-    EventSet s(4, {0, 1, 2});
-    std::size_t count = 0;
-    forEachTotalOrder(s, Relation(4), [&](const auto &) {
-        count++;
-        return true;
-    });
-    EXPECT_EQ(count, 6u);
+    OrderRecorder rec;
+    EXPECT_TRUE(
+        forEachTotalOrderVisit(EventSet(4, {0, 1, 2}), Relation(4), rec));
+    EXPECT_EQ(rec.orders.size(), 6u);
+    // Ascending ids are tried first: orders arrive lexicographically.
+    EXPECT_TRUE(std::is_sorted(rec.orders.begin(), rec.orders.end()));
+    EXPECT_EQ(rec.depth, 0u);
 }
 
 TEST(TotalOrderEnumeration, RespectsPartialOrder)
 {
-    EventSet s(3, {0, 1, 2});
-    Relation partial(3, {{0, 1}});
-    std::size_t count = 0;
-    forEachTotalOrder(s, partial, [&](const std::vector<EventId> &order) {
+    OrderRecorder rec;
+    forEachTotalOrderVisit(EventSet(3, {0, 1, 2}), Relation(3, {{0, 1}}),
+                           rec);
+    for (const auto &order : rec.orders) {
         auto p0 = std::find(order.begin(), order.end(), 0);
         auto p1 = std::find(order.begin(), order.end(), 1);
         EXPECT_LT(p0 - order.begin(), p1 - order.begin());
-        count++;
-        return true;
-    });
-    EXPECT_EQ(count, 3u);
+    }
+    EXPECT_EQ(rec.orders.size(), 3u);
 }
 
 TEST(TotalOrderEnumeration, CyclicConstraintYieldsNothing)
 {
-    EventSet s(2, {0, 1});
-    Relation partial(2, {{0, 1}, {1, 0}});
-    std::size_t count = 0;
-    forEachTotalOrder(s, partial, [&](const auto &) {
-        count++;
-        return true;
-    });
-    EXPECT_EQ(count, 0u);
+    OrderRecorder rec;
+    forEachTotalOrderVisit(EventSet(2, {0, 1}),
+                           Relation(2, {{0, 1}, {1, 0}}), rec);
+    EXPECT_TRUE(rec.orders.empty());
 }
 
 TEST(TotalOrderEnumeration, EmptySubsetVisitsOnce)
 {
-    std::size_t count = 0;
-    forEachTotalOrder(EventSet(3), Relation(3), [&](const auto &order) {
-        EXPECT_TRUE(order.empty());
-        count++;
-        return true;
-    });
-    EXPECT_EQ(count, 1u);
+    OrderRecorder rec;
+    forEachTotalOrderVisit(EventSet(3), Relation(3), rec);
+    ASSERT_EQ(rec.orders.size(), 1u);
+    EXPECT_TRUE(rec.orders[0].empty());
 }
 
 TEST(TotalOrderEnumeration, EarlyAbort)
 {
-    EventSet s(4, {0, 1, 2, 3});
-    std::size_t count = 0;
-    bool completed = forEachTotalOrder(s, Relation(4), [&](const auto &) {
-        count++;
-        return count < 5;
-    });
-    EXPECT_FALSE(completed);
-    EXPECT_EQ(count, 5u);
+    OrderRecorder rec;
+    rec.limit = 5;
+    EXPECT_FALSE(forEachTotalOrderVisit(EventSet(4, {0, 1, 2, 3}),
+                                        Relation(4), rec));
+    EXPECT_EQ(rec.orders.size(), 5u);
+    EXPECT_EQ(rec.depth, 0u);
 }
 
 // Property sweep: closure is idempotent and monotone on random DAG-ish
