@@ -109,10 +109,7 @@ struct StreamChecker::Impl
 {
     explicit Impl(ConformOptions opts)
         : opts(opts), scGraph(opts.window)
-    {
-        if (opts.window < 2)
-            panic("StreamChecker: window must be at least 2");
-    }
+    {}
 
     ConformOptions opts;
     ConformReport report;
@@ -198,11 +195,15 @@ struct StreamChecker::Impl
         litmus::Scope scope = litmus::Scope::None;
     };
 
-    /** Forced SC-fence order (transitively closed) over fence ids. */
-    relation::WindowedRelation scGraph;
+    /**
+     * Forced SC-fence order (transitively closed) over live fences, by
+     * local id fid - fidFloor; retireFences() shifts it down.
+     */
+    relation::Relation scGraph;
     std::deque<FenceInfo> liveFences; ///< fid-dense, ascending
     std::uint64_t nextFid = 0;
-    std::uint64_t fidFloor = 0; ///< fids below this were retired
+    /** fids below this were retired; the front of liveFences has it. */
+    std::uint64_t fidFloor = 0;
 
     /** One thread's SC fences: how many, and the newest kCap ids. */
     struct ScHistory
@@ -405,16 +406,18 @@ struct StreamChecker::Impl
             return true;
         if (before == after || after < fidFloor)
             return false;
-        const FenceInfo &fb = liveFences[before - fidFloorBase()];
-        const FenceInfo &fa = liveFences[after - fidFloorBase()];
+        const std::size_t b = before - fidFloor;
+        const std::size_t a = after - fidFloor;
+        const FenceInfo &fb = liveFences[b];
+        const FenceInfo &fa = liveFences[a];
         if (!scopeIncludes(fb.scope, fb.thread, fa.thread) ||
             !scopeIncludes(fa.scope, fa.thread, fb.thread))
             return false;
-        if (scGraph.contains(before, after)) {
+        if (scGraph.contains(b, a)) {
             report.stats.scEdgesRedundant++;
             return true;
         }
-        if (scGraph.insertWouldCycle(before, after)) {
+        if (scGraph.insertWouldCycle(b, a)) {
             violation(ViolationKind::FenceSc, seq,
                       std::string("forced SC-fence order is cyclic (") +
                           why + " forces fence at seq " +
@@ -425,29 +428,26 @@ struct StreamChecker::Impl
                       {fb.seq, fa.seq});
             return false;
         }
-        scGraph.insertClosure(before, after);
+        scGraph.insertClosure(b, a);
         report.stats.scEdgesAdded++;
         return true;
     }
 
-    std::uint64_t
-    fidFloorBase() const
-    {
-        // liveFences is fid-dense: index of fid f is f - fid of front.
-        return liveFences.empty() ? fidFloor : liveFences.front().fid;
-    }
-
+    /**
+     * Retire the older half of the live SC fences. liveFences is
+     * fid-dense, so the survivors' local ids all drop by the same
+     * amount: shifting scGraph keeps every edge among them.
+     */
     void
     retireFences()
     {
         const std::size_t drop = liveFences.size() / 2;
         if (drop == 0)
             return;
-        const std::uint64_t floor = liveFences[drop].fid;
-        scGraph.retireBelow(floor);
+        scGraph.shiftDown(drop);
         for (std::size_t i = 0; i < drop; i++)
             liveFences.pop_front();
-        fidFloor = floor;
+        fidFloor += drop;
         report.stats.retiredFences += drop;
     }
 
@@ -772,7 +772,6 @@ struct StreamChecker::Impl
         if (liveFences.size() >= opts.window)
             retireFences();
         const std::uint64_t fid = nextFid++;
-        scGraph.admit(fid);
         liveFences.push_back(FenceInfo{fid, ev.seq, t, ev.scope});
 
         // Program order chains this thread's SC fences.
@@ -878,9 +877,19 @@ struct StreamChecker::Impl
     }
 };
 
-StreamChecker::StreamChecker(ConformOptions opts)
-    : impl(new Impl(opts))
+void
+checkWindow(std::size_t window)
 {
+    if (window < kMinWindow || window > kMaxWindow) {
+        fatal("conform window must be between ", kMinWindow, " and ",
+              kMaxWindow, ", got ", window);
+    }
+}
+
+StreamChecker::StreamChecker(ConformOptions opts)
+{
+    checkWindow(opts.window);
+    impl = new Impl(opts);
 }
 
 StreamChecker::~StreamChecker()

@@ -19,8 +19,9 @@
  * Coherence order needs no graph: each location keeps its live writes
  * in commit order, and a write's commit number is its position. The
  * one graph is the global forced SC-fence order, a transitively closed
- * relation::WindowedRelation over live fence ids. A commit costs O(1)
- * in the window and an SC fence visits only its own thread's live
+ * window x window relation::Relation over live fence ids, shifted down
+ * when the older half of the fences retires. A commit costs O(1) in
+ * the window and an SC fence visits only its own thread's live
  * committed writes (docs/trace_conformance.md has the cost model).
  *
  * Soundness stance: every rule is an *under*-approximation of the
@@ -51,13 +52,22 @@
 
 namespace mixedproxy::conform {
 
+/** Smallest accepted ConformOptions::window. */
+inline constexpr std::size_t kMinWindow = 2;
+
+/**
+ * Largest accepted ConformOptions::window. The SC-fence graph is a
+ * window x window bit-matrix, so this caps it at 512 MiB.
+ */
+inline constexpr std::size_t kMaxWindow = 65536;
+
 /** Tuning knobs for one streaming check. */
 struct ConformOptions
 {
     /**
      * Live-window capacity: committed writes kept per location and SC
-     * fences kept globally. Smaller windows use less memory but let
-     * older evidence escape.
+     * fences kept globally, kMinWindow..kMaxWindow. Smaller windows use
+     * less memory but let older evidence escape.
      */
     std::size_t window = 1024;
 
@@ -139,6 +149,9 @@ struct ConformReport
     std::string summary() const;
 };
 
+/** Throw FatalError unless @p window is in kMinWindow..kMaxWindow. */
+void checkWindow(std::size_t window);
+
 /**
  * The streaming checker: feed begin(), then event() per line, then
  * footer() if present, then take the report with finish().
@@ -147,6 +160,7 @@ struct ConformReport
 class StreamChecker
 {
   public:
+    /** Throws FatalError for a window outside the accepted range. */
     explicit StreamChecker(ConformOptions opts = {});
     ~StreamChecker();
 

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "analysis/analyzer.hh"
+#include "conform/checker.hh"
 #include "engine/engine.hh"
 #include "engine/service.hh"
 #include "litmus/parser.hh"
@@ -42,6 +43,8 @@ options:
   --sim-mode MODE  proxy (default), coherent, or fence-reuse
   --list           list the built-in litmus tests
   --all            check every built-in test and print a verdict table
+                   (one line per test, so --witness, --dot, --compare,
+                   --lint and --simulate are usage errors with it)
   --synth=N        synthesize and classify all N-instruction litmus
                    tests (paper Section 6.3); prints the report and a
                    sample of the proxy-sensitive tests found
@@ -85,8 +88,8 @@ trace conformance (docs/trace_conformance.md):
                    conformant, 1 otherwise
   --conform-window N
                    live-window capacity per location (and SC fences)
-                   for --conform; smaller windows bound memory but let
-                   older evidence escape (default 1024)
+                   for --conform, 2..65536; smaller windows bound
+                   memory but let older evidence escape (default 1024)
   --sim-trace-out FILE
                    record one simulated schedule of the single input
                    test as a mixedproxy.trace.v1 stream into FILE
@@ -242,8 +245,7 @@ parseArgs(const std::vector<std::string> &args)
             } catch (const std::exception &) {
                 fatal("bad --conform-window '", value, "'");
             }
-            if (opts.conformWindow < 1)
-                fatal("--conform-window must be at least 1");
+            conform::checkWindow(opts.conformWindow);
         } else if (value_flag("--sim-trace-out", &opts.simTraceOut)) {
         } else if (value_flag("--trace-out", &opts.traceOut)) {
         } else if (value_flag("--stats-json", &opts.statsJsonOut)) {
@@ -299,6 +301,23 @@ parseArgs(const std::vector<std::string> &args)
             fatal("unknown option '", arg, "'");
         } else {
             opts.inputs.push_back(arg);
+        }
+    }
+    if (opts.all) {
+        // The --all table has one line per test: flags that shape a
+        // per-test report have nowhere to go, so refuse them rather
+        // than drop them.
+        const std::pair<bool, const char *> perReport[] = {
+            {opts.showWitnesses, "--witness"},
+            {opts.dot, "--dot"},
+            {opts.compareModels, "--compare"},
+            {opts.lint, "--lint"},
+            {opts.simulate, "--simulate"}};
+        for (const auto &[set, flag] : perReport) {
+            if (set) {
+                fatal("--all prints one verdict line per test and "
+                      "cannot honour ", flag, "; name the tests instead");
+            }
         }
     }
     return opts;

@@ -1,12 +1,35 @@
 #include "event_set.hh"
 
+#include <sstream>
+
 namespace mixedproxy::relation {
 
-// The set algebra lives in the header as BasicEventSet<Storage>; the
-// two shipped storage policies are instantiated once, here, so every
-// other translation unit links against these definitions instead of
-// re-instantiating the template.
-template class BasicEventSet<DenseSetStorage>;
-template class BasicEventSet<WindowedSetStorage>;
+void
+EventSet::forEach(const std::function<void(EventId)> &fn) const
+{
+    forEach<const std::function<void(EventId)> &>(fn);
+}
+
+EventSet
+EventSet::filter(const std::function<bool(EventId)> &pred) const
+{
+    return filter<const std::function<bool(EventId)> &>(pred);
+}
+
+std::string
+EventSet::toString() const
+{
+    std::ostringstream os;
+    os << "{";
+    bool first = true;
+    forEach([&](EventId id) {
+        if (!first)
+            os << ", ";
+        first = false;
+        os << id;
+    });
+    os << "}";
+    return os.str();
+}
 
 } // namespace mixedproxy::relation

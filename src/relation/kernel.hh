@@ -10,11 +10,10 @@
  * allocate nothing, and avoid per-bit branching beyond set-bit
  * iteration.
  *
- * The tail of the header lifts the delta-closure maintenance ops
- * (closureInsert / closureWouldCycle) and the semi-naive frontier
- * closure to templates over the matrix-storage concept (storage.hh), so
- * the dense litmus-scale backend and the windowed streaming backend
- * share one implementation of the incremental algorithms.
+ * The tail of the header holds the matrix-level algorithms over a
+ * row-major n x n bit-matrix: the delta-closure maintenance op
+ * (closureInsert), the semi-naive frontier closure, and the row shift
+ * that renumbers a sliding window (shiftRight).
  */
 
 #ifndef MIXEDPROXY_RELATION_KERNEL_HH
@@ -144,86 +143,77 @@ forEachSetBit(const std::uint64_t *p, std::size_t words, Fn &&fn)
 }
 
 /**
- * Incremental acyclicity probe against any matrix-storage backend:
- * true when adding (a, b) to a transitively closed, acyclic relation
- * would create a cycle (b already reaches a, or a == b). Both ids must
- * be live in the storage's window.
+ * dst = src >> bits, reading the @p words-word span as one integer:
+ * bit i of dst is bit i + bits of src, and the vacated high bits are
+ * zero. dst may alias src (every word is read before it is written).
  */
-template <typename Storage>
-inline bool
-closureWouldCycle(const Storage &s, std::size_t a, std::size_t b)
-{
-    return a == b || testBit(s.row(b), a - s.colBitBase());
-}
-
-/**
- * Delta closure maintenance against any matrix-storage backend: add
- * the pair (a, b) to an already transitively closed relation and
- * restore closure by broadcasting reach(b) = {b} ∪ succ(b) into every
- * live row that reaches a (and a itself). Both ids must be live.
- */
-template <typename Storage>
 inline void
-closureInsert(Storage &s, std::size_t a, std::size_t b)
+shiftRight(std::uint64_t *dst, const std::uint64_t *src, std::size_t words,
+           std::size_t bits)
 {
-    const std::size_t words = s.wordsPerRow();
-    const std::size_t colBase = s.colBitBase();
-    WordStore breach(words);
-    const std::uint64_t *brow = s.row(b);
-    std::copy(brow, brow + words, breach.data());
-    setBit(breach.data(), b - colBase);
-    const std::size_t localA = a - colBase;
-    for (std::size_t x = s.rowBegin(); x < s.rowEnd(); x++) {
-        if (x == a || testBit(s.row(x), localA))
-            orInto(s.row(x), breach.data(), words);
+    const std::size_t skip = bits / kBitsPerWord;
+    const std::size_t shift = bits % kBitsPerWord;
+    for (std::size_t i = 0; i < words; i++) {
+        const std::size_t s = i + skip;
+        std::uint64_t w = s < words ? src[s] >> shift : 0;
+        if (shift != 0 && s + 1 < words)
+            w |= src[s + 1] << (kBitsPerWord - shift);
+        dst[i] = w;
     }
 }
 
 /**
- * Close the stored relation transitively, in place, by semi-naive
- * delta-frontier propagation over the live window: each vertex carries
- * the bits newly added to its successor row since it was last
- * propagated; a delta is pushed word-wise into the rows of the
- * vertex's direct predecessors, and only vertices whose rows grew
- * re-enter the worklist. Pairs with retired endpoints are ignored.
+ * Delta closure maintenance on an n-row matrix of @p words-word rows:
+ * add the pair (a, b) to an already transitively closed relation and
+ * restore closure by broadcasting reach(b) = {b} ∪ succ(b) into every
+ * row that reaches a (and a itself).
  */
-template <typename Storage>
 inline void
-frontierClosure(Storage &s)
+closureInsert(std::uint64_t *rows, std::size_t n, std::size_t words,
+              std::size_t a, std::size_t b)
 {
-    const std::size_t begin = s.rowBegin();
-    const std::size_t end = s.rowEnd();
-    if (begin >= end)
-        return;
-    const std::size_t words = s.wordsPerRow();
-    const std::size_t colBase = s.colBitBase();
-    const std::size_t live = end - begin;
+    WordStore breach(words);
+    const std::uint64_t *brow = rows + b * words;
+    std::copy(brow, brow + words, breach.data());
+    setBit(breach.data(), b);
+    for (std::size_t x = 0; x < n; x++) {
+        std::uint64_t *xrow = rows + x * words;
+        if (x == a || testBit(xrow, a))
+            orInto(xrow, breach.data(), words);
+    }
+}
 
-    // Transposed adjacency over the live window: preds row of x lists
-    // x's direct predecessors (as column bits in the same geometry).
-    WordStore preds(live * words);
-    for (std::size_t a = begin; a < end; a++) {
-        forEachSetBit(s.row(a), words, [&](std::size_t localB) {
-            const std::size_t b = localB + colBase;
-            if (b >= begin && b < end) {
-                setBit(preds.data() + (b - begin) * words,
-                       a - colBase);
-            }
+/**
+ * Close an n-row matrix of @p words-word rows transitively, in place,
+ * by semi-naive delta-frontier propagation: each vertex carries the
+ * bits newly added to its successor row since it was last propagated;
+ * a delta is pushed word-wise into the rows of the vertex's direct
+ * predecessors, and only vertices whose rows grew re-enter the
+ * worklist.
+ */
+inline void
+frontierClosure(std::uint64_t *rows, std::size_t n, std::size_t words)
+{
+    if (n == 0)
+        return;
+
+    // Transposed adjacency: preds row of x lists x's direct
+    // predecessors.
+    WordStore preds(n * words);
+    for (std::size_t a = 0; a < n; a++) {
+        forEachSetBit(rows + a * words, words, [&](std::size_t b) {
+            setBit(preds.data() + b * words, a);
         });
     }
 
-    WordStore pending(live * words); // unpropagated deltas
-    for (std::size_t x = begin; x < end; x++) {
-        const std::uint64_t *r = s.row(x);
-        std::copy(r, r + words,
-                  pending.data() + (x - begin) * words);
-    }
-    std::vector<char> queued(live, 0);
+    WordStore pending(n * words); // unpropagated deltas
+    std::copy(rows, rows + n * words, pending.data());
+    std::vector<char> queued(n, 0);
     std::vector<std::size_t> worklist;
-    worklist.reserve(live);
-    for (std::size_t x = begin; x < end; x++) {
-        if (anyBit(pending.data() + (x - begin) * words, words)) {
-            queued[x - begin] = 1;
+    worklist.reserve(n);
+    for (std::size_t x = 0; x < n; x++) {
+        if (anyBit(pending.data() + x * words, words)) {
+            queued[x] = 1;
             worklist.push_back(x);
         }
     }
@@ -232,30 +222,26 @@ frontierClosure(Storage &s)
     while (!worklist.empty()) {
         const std::size_t x = worklist.back();
         worklist.pop_back();
-        queued[x - begin] = 0;
-        std::uint64_t *pend = pending.data() + (x - begin) * words;
+        queued[x] = 0;
+        std::uint64_t *pend = pending.data() + x * words;
         std::copy(pend, pend + words, delta.data());
         std::fill(pend, pend + words, 0);
-        forEachSetBit(
-            preds.data() + (x - begin) * words, words,
-            [&](std::size_t localP) {
-                // row(p) |= delta; newly set bits become p's delta.
-                const std::size_t p = localP + colBase;
-                std::uint64_t *prow = s.row(p);
-                std::uint64_t *ppend =
-                    pending.data() + (p - begin) * words;
-                std::uint64_t grew = 0;
-                for (std::size_t wi = 0; wi < words; wi++) {
-                    std::uint64_t add = delta[wi] & ~prow[wi];
-                    prow[wi] |= add;
-                    ppend[wi] |= add;
-                    grew |= add;
-                }
-                if (grew != 0 && !queued[p - begin]) {
-                    queued[p - begin] = 1;
-                    worklist.push_back(p);
-                }
-            });
+        forEachSetBit(preds.data() + x * words, words, [&](std::size_t p) {
+            // row(p) |= delta; newly set bits become p's delta.
+            std::uint64_t *prow = rows + p * words;
+            std::uint64_t *ppend = pending.data() + p * words;
+            std::uint64_t grew = 0;
+            for (std::size_t wi = 0; wi < words; wi++) {
+                std::uint64_t add = delta[wi] & ~prow[wi];
+                prow[wi] |= add;
+                ppend[wi] |= add;
+                grew |= add;
+            }
+            if (grew != 0 && !queued[p]) {
+                queued[p] = 1;
+                worklist.push_back(p);
+            }
+        });
     }
 }
 

@@ -11,6 +11,7 @@
 
 #include "conform/checker.hh"
 #include "conform/trace.hh"
+#include "relation/error.hh"
 
 namespace {
 
@@ -401,6 +402,7 @@ class ScTrace
                                       Scope::Sys, ProxyKind::Generic);
         writer.commit(uid);
         memory[loc] = value;
+        seq += 2;
         return uid;
     }
 
@@ -410,12 +412,15 @@ class ScTrace
     {
         writer.load(t, loc, value, rf, Semantics::Relaxed, Scope::Sys,
                     ProxyKind::Generic, "");
+        seq++;
     }
 
-    void
+    /** Issue an SC fence; returns its seq. */
+    std::uint64_t
     fence(std::size_t t, Scope scope = Scope::Sys)
     {
         writer.fence(t, Semantics::Sc, scope);
+        return seq++;
     }
 
     ConformReport
@@ -432,6 +437,7 @@ class ScTrace
     std::stringstream ss;
     TraceWriter writer;
     std::vector<std::uint64_t> memory;
+    std::uint64_t seq = 0; ///< seq of the next event line
 };
 
 /** The report holds exactly one violation, and it is a fence-SC cycle. */
@@ -626,26 +632,80 @@ checkAfterRetirement(std::size_t window, bool stale)
     return tr.check(opts);
 }
 
+/**
+ * Windows for the retirement tests: the smallest allowed, odd and even
+ * halvings, and 63/64/65 and 130, whose retirements shift the SC-fence
+ * graph across a 64-bit word boundary.
+ */
+constexpr std::size_t kRetirementWindows[] = {2, 3, 8, 63, 64, 65, 130,
+                                              1024};
+
+/** checkAfterRetirement issues this many SC fences. */
+constexpr std::size_t kRetirementFences = 122;
+
 TEST(FenceScRules, CycleAfterRetirementRounds)
 {
-    for (const std::size_t window : {std::size_t{8}, std::size_t{1024}}) {
+    for (const std::size_t window : kRetirementWindows) {
+        SCOPED_TRACE("window " + std::to_string(window));
         const ConformReport report = checkAfterRetirement(window, true);
         expectOneFenceScCycle(report);
+        if (window < kRetirementFences) {
+            EXPECT_GT(report.stats.retiredFences, 0u);
+        } else {
+            EXPECT_EQ(report.stats.retiredFences, 0u);
+        }
         if (window == 8) {
             EXPECT_GT(report.stats.retiredWrites, 0u);
-            EXPECT_GT(report.stats.retiredFences, 0u);
         }
     }
 }
 
 TEST(FenceScRules, ConformantVerdictSameAtSmallAndLargeWindow)
 {
-    const ConformReport small = checkAfterRetirement(8, false);
-    const ConformReport large = checkAfterRetirement(1024, false);
-    EXPECT_TRUE(small.conformant()) << small.summary();
-    EXPECT_TRUE(large.conformant()) << large.summary();
-    EXPECT_GT(small.stats.retiredWrites, 0u);
-    EXPECT_EQ(large.stats.retiredWrites, 0u);
+    for (const std::size_t window : kRetirementWindows) {
+        SCOPED_TRACE("window " + std::to_string(window));
+        const ConformReport report = checkAfterRetirement(window, false);
+        EXPECT_TRUE(report.conformant()) << report.summary();
+        if (window == 8) {
+            EXPECT_GT(report.stats.retiredWrites, 0u);
+        }
+        if (window == 1024) {
+            EXPECT_EQ(report.stats.retiredWrites, 0u);
+        }
+    }
+}
+
+TEST(FenceScRules, EdgeBetweenSurvivorsOutlivesRetirement)
+{
+    // Communication (F0 -> G) with a fence retirement between G's
+    // arrival and the read that closes the cycle (G -> F0). t2's
+    // fillers make F0 and G the newest of a full window, so the
+    // retirement drops only fillers and shifts F0 and G down: the cycle
+    // is found only if the SC-fence graph keeps F0 -> G across it.
+    // Window 2 keeps one fence, so F0 cannot survive there.
+    for (const std::size_t window : kRetirementWindows) {
+        if (window == 2)
+            continue;
+        SCOPED_TRACE("window " + std::to_string(window));
+        ScTrace tr(3, 2);
+        for (std::size_t i = 0; i + 2 < window; i++)
+            tr.fence(2);
+        tr.put(0, 0, 1);
+        const std::uint64_t f0 = tr.fence(0);
+        const auto flag = tr.put(0, 1, 1);
+        tr.get(1, 1, 1, flag);
+        const std::uint64_t g = tr.fence(1); // F0 -> G by communication
+        tr.fence(2); // the window is full: retire the older half
+        tr.get(1, 0, 0, 0);
+        ConformOptions opts;
+        opts.window = window;
+        const ConformReport report = tr.check(opts);
+        expectOneFenceScCycle(report);
+        EXPECT_EQ(report.stats.retiredFences, window / 2);
+        ASSERT_EQ(report.violations.size(), 1u);
+        EXPECT_EQ(report.violations[0].involved,
+                  (std::vector<std::uint64_t>{g, f0}));
+    }
 }
 
 TEST(FenceScRules, ViolationOrderIsDeterministic)
@@ -672,6 +732,23 @@ TEST(FenceScRules, ViolationOrderIsDeterministic)
         return report.summary();
     };
     EXPECT_EQ(summary(), summary());
+}
+
+TEST(StreamChecker, WindowOutsideTheAcceptedRangeIsFatal)
+{
+    // The window is user input: it is rejected before anything is
+    // allocated for it, with a FatalError rather than a panic.
+    for (const std::size_t window :
+         {std::size_t{0}, std::size_t{1}, conform::kMaxWindow + 1,
+          std::size_t{1} << 32}) {
+        ConformOptions opts;
+        opts.window = window;
+        EXPECT_THROW(conform::StreamChecker checker(opts), FatalError)
+            << "window " << window;
+    }
+    ConformOptions opts;
+    opts.window = conform::kMinWindow;
+    EXPECT_NO_THROW(conform::StreamChecker checker(opts));
 }
 
 TEST(StreamChecker, SummaryNamesTestAndVerdict)

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "conform/trace.hh"
 #include "engine/engine.hh"
 #include "engine/eventlog.hh"
 #include "engine/json.hh"
@@ -299,6 +300,60 @@ TEST(Service, UnrecognisedKeysAreIgnored)
               retired->stringOr("report", "b"));
     // Same fingerprint: the second request is served from the cache.
     EXPECT_TRUE(retired->boolOr("cache_hit", false));
+}
+
+TEST(Service, BadConformWindowFailsOnlyItsOwnRequest)
+{
+    // A conform window outside 2..65536 is a per-request error: the
+    // daemon answers it with ok:false and goes on serving.
+    std::ostringstream trace;
+    conform::TraceWriter writer(trace);
+    conform::TraceHeader header;
+    header.test = "idle";
+    header.threads = {conform::TraceThread{"t0", 0, 0}};
+    header.locations = {conform::TraceLocation{"x", 0}};
+    writer.header(header);
+    litmus::Outcome outcome;
+    outcome.memory["x"] = 0;
+    writer.finish(outcome);
+    const std::string inlineTrace = jsonQuote(trace.str());
+
+    std::string requests;
+    std::size_t id = 0;
+    for (const char *window : {"0", "1", "4294967296"}) {
+        requests += "{\"cmd\":\"conform\",\"id\":" + std::to_string(id++) +
+                    ",\"window\":" + window + ",\"trace\":" +
+                    inlineTrace + "}\n";
+        requests += "{\"cmd\":\"conform\",\"id\":" + std::to_string(id++) +
+                    ",\"trace\":" + inlineTrace + "}\n";
+    }
+    Engine engine;
+    std::istringstream in(requests);
+    std::ostringstream out;
+    std::ostringstream err;
+    ServeOptions options;
+    ASSERT_EQ(serve(engine, options, in, out, err), 0);
+    EXPECT_EQ(err.str(), "");
+
+    std::vector<std::string> lines;
+    std::istringstream reader(out.str());
+    for (std::string line; std::getline(reader, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 6u) << out.str();
+    for (std::size_t i = 0; i < lines.size(); i++) {
+        auto doc = json::parse(lines[i]);
+        ASSERT_TRUE(doc) << lines[i];
+        EXPECT_EQ(doc->uintOr("id", 99), i) << lines[i];
+        const bool bad = i % 2 == 0;
+        EXPECT_EQ(doc->boolOr("ok", bad), !bad) << lines[i];
+        if (bad) {
+            EXPECT_NE(doc->stringOr("error", "").find("window"),
+                      std::string::npos)
+                << lines[i];
+        } else {
+            EXPECT_TRUE(doc->boolOr("conformant", false)) << lines[i];
+        }
+    }
 }
 
 TEST(Service, ErrorRequestsCountIntoErrorsTotal)

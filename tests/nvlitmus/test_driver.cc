@@ -118,6 +118,52 @@ TEST(Cli, BadJobsIsUsageError)
               2);
 }
 
+TEST(ParseArgs, ConformWindowRange)
+{
+    EXPECT_EQ(parseArgs({"--conform-window", "2"}).conformWindow, 2u);
+    EXPECT_EQ(parseArgs({"--conform-window=65536"}).conformWindow,
+              65536u);
+    EXPECT_THROW(parseArgs({"--conform-window", "0"}), FatalError);
+    EXPECT_THROW(parseArgs({"--conform-window", "1"}), FatalError);
+    EXPECT_THROW(parseArgs({"--conform-window", "65537"}), FatalError);
+    EXPECT_THROW(parseArgs({"--conform-window", "4294967296"}),
+                 FatalError);
+    EXPECT_THROW(parseArgs({"--conform-window", "2x"}), FatalError);
+}
+
+TEST(Cli, BadConformWindowIsUsageError)
+{
+    // The same message the daemon answers a bad "window" with.
+    std::string err;
+    EXPECT_EQ(run({"--conform-window", "1", "--conform", "t.trace"},
+                  nullptr, &err),
+              2);
+    EXPECT_NE(err.find("conform window must be between 2 and 65536, "
+                       "got 1"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("internal error"), std::string::npos) << err;
+}
+
+TEST(ParseArgs, AllRejectsPerTestReportFlags)
+{
+    // The --all table has one line per test; flags that shape a
+    // per-test report are refused instead of silently dropped.
+    for (const char *flag :
+         {"--witness", "--dot", "--compare", "--lint", "--simulate"}) {
+        EXPECT_THROW(parseArgs({"--all", flag}), FatalError) << flag;
+        EXPECT_THROW(parseArgs({flag, "--all"}), FatalError) << flag;
+        EXPECT_NO_THROW(parseArgs({flag, "fig9_message_passing"}))
+            << flag;
+    }
+    EXPECT_EQ(parseArgs({"--all", "--model", "ptx60"}).mode,
+              model::ProxyMode::Ptx60);
+    std::string err;
+    EXPECT_EQ(run({"--all", "--witness"}, nullptr, &err), 2);
+    EXPECT_NE(err.find("--all"), std::string::npos) << err;
+    EXPECT_NE(err.find("--witness"), std::string::npos) << err;
+}
+
 TEST(Cli, HelpMentionsJobs)
 {
     std::string out;

@@ -207,6 +207,65 @@ TEST(Relation, UniverseMismatchPanics)
     EXPECT_THROW(a.compose(b), PanicError);
 }
 
+TEST(Relation, ShiftDownDropsOldIds)
+{
+    Relation r(4);
+    r.insertClosure(0, 1);
+    r.insertClosure(1, 2);
+    r.insertClosure(2, 3);
+    r.shiftDown(2);
+    // Old ids 2 and 3 are now 0 and 1; pairs touching 0 or 1 are gone.
+    EXPECT_EQ(r, Relation(4, {{0, 1}}));
+    // The freed top ids take new pairs, and closure still holds.
+    r.insertClosure(1, 2);
+    r.insertClosure(2, 3);
+    EXPECT_TRUE(r.contains(0, 3));
+    EXPECT_EQ(r.pairCount(), 6u);
+    r.shiftDown(0);
+    EXPECT_EQ(r.pairCount(), 6u);
+    r.shiftDown(4);
+    EXPECT_TRUE(r.empty());
+}
+
+TEST(Relation, ShiftDownMatchesDenseClosureUnderSlidingWindow)
+{
+    // A closed relation of fixed size, slid down over an ascending id
+    // stream, must answer contains() like a closure over the whole
+    // universe for every pair still in the window. Edges span a short
+    // band; slides of random size cross word boundaries.
+    constexpr std::size_t kUniverse = 400;
+    constexpr std::size_t kBand = 20;
+    std::mt19937_64 rng(2022);
+    for (const std::size_t window : {3, 48, 64, 65, 130}) {
+        Relation dense(kUniverse);
+        Relation sliding(window);
+        EventId floor = 0; // the id at sliding's index 0
+        for (EventId b = 0; b < kUniverse; b++) {
+            if (b - floor == window) {
+                const std::size_t k = 1 + rng() % window;
+                sliding.shiftDown(k);
+                floor += k;
+            }
+            for (EventId a = (b > kBand ? b - kBand : 0); a < b; a++) {
+                if (a < floor || rng() % 4 != 0)
+                    continue;
+                if (!dense.contains(a, b)) {
+                    dense.insertClosure(a, b);
+                    sliding.insertClosure(a - floor, b - floor);
+                }
+            }
+            for (EventId x = floor; x <= b; x++) {
+                for (EventId y = floor; y <= b; y++) {
+                    ASSERT_EQ(sliding.contains(x - floor, y - floor),
+                              dense.contains(x, y))
+                        << "pair (" << x << ", " << y << ") at id " << b
+                        << ", window " << window;
+                }
+            }
+        }
+    }
+}
+
 /**
  * A total-order visitor that records every complete order (aborting
  * after @p limit of them) and checks that push/pop bracket the prefix.
