@@ -7,8 +7,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "model/checker.hh"
 #include "obs/obs.hh"
@@ -48,6 +51,12 @@ struct Template
     bool isStore = false;
     bool isFence = false;
     const char *name = "";
+
+    /**
+     * The template PTX 6.0 sees once proxies are erased; nullopt when
+     * it vanishes (a proxy fence). See erasureKey().
+     */
+    std::optional<Kind> erasure;
 };
 
 std::vector<Template>
@@ -55,43 +64,44 @@ alphabet(const SynthOptions &opts)
 {
     using K = Template::Kind;
     std::vector<Template> out;
-    out.push_back({K::Store, true, false, true, false, "st"});
-    out.push_back({K::Load, true, true, false, false, "ld"});
+    out.push_back({K::Store, true, false, true, false, "st", K::Store});
+    out.push_back({K::Load, true, true, false, false, "ld", K::Load});
     if (opts.withReleaseAcquire) {
         out.push_back({K::ReleaseStore, true, false, true, false,
-                       "st.rel"});
+                       "st.rel", K::ReleaseStore});
         out.push_back({K::AcquireLoad, true, true, false, false,
-                       "ld.acq"});
+                       "ld.acq", K::AcquireLoad});
     }
     if (opts.withFences) {
         out.push_back({K::FenceAcqRel, false, false, false, true,
-                       "fence.acq_rel"});
+                       "fence.acq_rel", K::FenceAcqRel});
         out.push_back({K::FenceSc, false, false, false, true,
-                       "fence.sc"});
+                       "fence.sc", K::FenceSc});
     }
     if (opts.withProxies) {
         out.push_back({K::ConstLoad, true, true, false, false,
-                       "ld.const"});
+                       "ld.const", K::Load});
         out.push_back({K::AliasStore, true, false, true, false,
-                       "st.alias"});
+                       "st.alias", K::Store});
         out.push_back({K::AliasLoad, true, true, false, false,
-                       "ld.alias"});
+                       "ld.alias", K::Load});
         out.push_back({K::ProxyFenceConstant, false, false, false, true,
-                       "fence.proxy.constant"});
+                       "fence.proxy.constant", std::nullopt});
         out.push_back({K::ProxyFenceAlias, false, false, false, true,
-                       "fence.proxy.alias"});
+                       "fence.proxy.alias", std::nullopt});
     }
     if (opts.withAtomics)
-        out.push_back({K::AtomAdd, true, true, true, false, "atom.add"});
+        out.push_back({K::AtomAdd, true, true, true, false, "atom.add",
+                       K::AtomAdd});
     if (opts.withAsync) {
         out.push_back({K::AsyncCopy, true, true, true, false,
-                       "cp.async"});
+                       "cp.async", K::AsyncCopy});
         out.push_back({K::AsyncWait, false, false, false, true,
-                       "cp.async.wait_all"});
+                       "cp.async.wait_all", K::AsyncWait});
     }
     if (opts.withBarriers)
         out.push_back({K::Barrier, false, false, false, false,
-                       "bar.sync"});
+                       "bar.sync", K::Barrier});
     return out;
 }
 
@@ -192,6 +202,33 @@ canonicalKey(const Skeleton &program, std::size_t locations)
             best = whole;
     } while (std::next_permutation(loc_perm.begin(), loc_perm.end()));
     return best;
+}
+
+/**
+ * The PTX 6.0 erasure class of a skeleton: every template replaced by
+ * its erasure (Template::erasure), in thread order with thread
+ * boundaries kept. Under ProxyMode::Ptx60 every access takes the
+ * generic proxy at its canonical location and a proxy fence is inert,
+ * and the SC reference resolves aliases and ignores fences, so members
+ * of one class share the PTX 6.0 outcome set, its budget verdict and
+ * the SC outcome set. There is no symmetry canonicalization: erasure
+ * drops no load or store, so members share thread, register, value and
+ * location names, and one member's outcome sets serve them all.
+ */
+std::string
+erasureKey(const Skeleton &program, const std::vector<Template> &alpha)
+{
+    std::string key;
+    for (const auto &thread : program) {
+        for (const auto &[tmpl, loc] : thread) {
+            if (const auto kind = alpha[tmpl].erasure) {
+                key += static_cast<char>('A' + static_cast<int>(*kind));
+                key += static_cast<char>('0' + loc);
+            }
+        }
+        key += '|';
+    }
+    return key;
 }
 
 /**
@@ -439,6 +476,8 @@ SynthStats::publish(obs::MetricsRegistry &registry) const
     registry.add("synth.presolve.pruned_ptx60", presolvePrunedPtx60);
     registry.add("synth.presolve.pruned_fence_checks",
                  presolvePrunedFenceChecks);
+    registry.add("synth.ptx60_classes", ptx60Classes);
+    registry.add("synth.sc_classes", scClasses);
 }
 
 std::string
@@ -450,8 +489,7 @@ SynthReport::summary() const
        << ", checked " << stats.checked << " (skipped "
        << stats.skippedTooExpensive << "): weak " << stats.weak
        << ", proxy-sensitive " << stats.proxySensitive
-       << ", fence-minimal " << stats.fenceMinimal << " in "
-       << stats.seconds << " s";
+       << ", fence-minimal " << stats.fenceMinimal;
     return os.str();
 }
 
@@ -500,6 +538,30 @@ struct Classified
     std::uint64_t prunedPtx60 = 0;       ///< oracle-skipped 6.0 checks
     std::uint64_t prunedFenceChecks = 0; ///< oracle-skipped rechecks
     SynthesizedTest entry;
+
+    /** True when Stage D reports the entry. */
+    bool kept() const
+    {
+        return !tooExpensive &&
+               (entry.weak || entry.proxySensitive || entry.fenceMinimal);
+    }
+};
+
+/** One outcome set an erasure class shares, computed at most once. */
+struct ClassVerdict
+{
+    std::once_flag once;
+    bool computed = false;
+    bool failed = false; ///< over budget, or the check rejected it
+    std::set<litmus::Outcome> outcomes;
+};
+
+/** The verdicts shared by the members of one erasure class. */
+struct ErasureClass
+{
+    std::size_t first = 0; ///< first member, in unique order
+    ClassVerdict ptx60;
+    ClassVerdict sc;
 };
 
 } // namespace
@@ -622,6 +684,23 @@ Synthesizer::run() const
         unique_list.resize(opts.maxUniquePrograms);
     report.stats.uniquePrograms = unique_list.size();
 
+    // Erasure classes (erasureKey), numbered in first-member order.
+    std::vector<std::size_t> class_of(unique_list.size());
+    std::vector<std::size_t> firsts;
+    {
+        std::unordered_map<std::string, std::size_t> ids;
+        for (std::size_t i = 0; i < unique_list.size(); i++) {
+            auto [it, fresh] = ids.try_emplace(
+                erasureKey(unique_list[i], alpha), firsts.size());
+            if (fresh)
+                firsts.push_back(i);
+            class_of[i] = it->second;
+        }
+    }
+    std::vector<ErasureClass> classes(firsts.size());
+    for (std::size_t k = 0; k < firsts.size(); k++)
+        classes[k].first = firsts[k];
+
     // ---- Stage C: classify every unique program ------------------------
     model::CheckOptions check75;
     check75.collectWitnesses = false;
@@ -631,126 +710,183 @@ Synthesizer::run() const
     check60.mode = model::ProxyMode::Ptx60;
     model::Checker checker60(check60);
 
-    std::vector<Classified> classified(unique_list.size());
-    runtime::parallelFor(
-        unique_list.size(), par, [&](std::size_t i, obs::Session *) {
-            Classified &c = classified[i];
-            litmus::LitmusTest test;
+    // Program i's share of its class's verdict, computing it on first
+    // demand from the class's first member, so the result never
+    // depends on which member asked first, or on jobs.
+    auto classVerdict =
+        [&](std::size_t i, const litmus::LitmusTest &test,
+            ClassVerdict ErasureClass::*part,
+            const auto &compute) -> const ClassVerdict & {
+        ErasureClass &cls = classes[class_of[i]];
+        ClassVerdict &verdict = cls.*part;
+        std::call_once(verdict.once, [&] {
+            obs::Span span("synth.check.class");
+            verdict.computed = true;
             try {
-                test = materialize(unique_list[i], alpha, protos,
-                                   opts.maxLocations, i + 1,
-                                   opts.withBarriers);
+                if (cls.first == i) {
+                    compute(test, verdict);
+                } else {
+                    compute(materialize(unique_list[cls.first], alpha,
+                                        protos, opts.maxLocations,
+                                        cls.first + 1, opts.withBarriers),
+                            verdict);
+                }
             } catch (const FatalError &) {
-                // E.g. mismatched barrier sequences within the CTA.
+                verdict.failed = true;
+            }
+        });
+        return verdict;
+    };
+    auto computePtx60 = [&](const litmus::LitmusTest &test,
+                            ClassVerdict &verdict) {
+        auto r60 = checker60.check(test);
+        verdict.failed = r60.budgetExceeded;
+        verdict.outcomes = std::move(r60.outcomes);
+    };
+    auto computeSc = [](const litmus::LitmusTest &test,
+                        ClassVerdict &verdict) {
+        verdict.outcomes = scOutcomes(test);
+    };
+
+    auto classify = [&](std::size_t i, Classified &c) {
+        litmus::LitmusTest test;
+        try {
+            obs::Span span("synth.materialize");
+            test = materialize(unique_list[i], alpha, protos,
+                               opts.maxLocations, i + 1,
+                               opts.withBarriers);
+        } catch (const FatalError &) {
+            // E.g. mismatched barrier sequences within the CTA.
+            return;
+        }
+        c.valid = true;
+
+        obs::Span check_span("synth.check");
+        // A copy, not the materialized test itself: on synth_n4, moving
+        // `test` into the entry measured 10-20% slower.
+        c.entry.test = test;
+        try {
+            // One static expansion serves both the PTX 7.5 check
+            // and the pruning oracle below: the Program carries
+            // the precomputed base layers (dep closure, must base
+            // causality) the incremental enumeration core starts
+            // from, so expanding per consumer would redo exactly
+            // the work the layering is meant to share.
+            const model::Program prog75 = [&] {
+                obs::Span expand("synth.check.expand");
+                return model::Program(test, model::ProxyMode::Ptx75);
+            }();
+            auto r75 = checker75.check(prog75);
+            if (r75.budgetExceeded) {
+                c.tooExpensive = true;
                 return;
             }
-            c.valid = true;
+            c.entry.ptx75Outcomes = r75.outcomes.size();
+            c.checked75 = true;
 
-            obs::Span check_span("synth.check");
-            c.entry.test = test;
-            try {
-                // One static expansion serves both the PTX 7.5 check
-                // and the pruning oracle below: the Program carries
-                // the precomputed base layers (dep closure, must base
-                // causality) the incremental enumeration core starts
-                // from, so expanding per consumer would redo exactly
-                // the work the layering is meant to share.
-                model::Program prog75(test, model::ProxyMode::Ptx75);
-                auto r75 = checker75.check(prog75);
-                if (r75.budgetExceeded) {
+            // The static pruning oracle: a program all of whose
+            // accesses go through one proxy is interpreted
+            // identically by both models and by the proxy rules —
+            // the same fact the checker's single-proxy fast path
+            // rests on (docs/static_solver.md "Synthesis
+            // pruning"), so two whole classes of Stage C checks
+            // are provably redundant for it.
+            bool single_proxy = false;
+            if (opts.presolve)
+                single_proxy = !prog75.usesMixedProxies();
+
+            if (opts.classifyAgainstSc) {
+                const ClassVerdict &sc =
+                    classVerdict(i, test, &ErasureClass::sc, computeSc);
+                if (sc.failed) {
                     c.tooExpensive = true;
                     return;
                 }
-                c.entry.ptx75Outcomes = r75.outcomes.size();
-                c.checked75 = true;
-
-                // The static pruning oracle: a program all of whose
-                // accesses go through one proxy is interpreted
-                // identically by both models and by the proxy rules —
-                // the same fact the checker's single-proxy fast path
-                // rests on (docs/static_solver.md "Synthesis
-                // pruning"), so two whole classes of Stage C checks
-                // are provably redundant for it.
-                bool single_proxy = false;
-                if (opts.presolve)
-                    single_proxy = !prog75.usesMixedProxies();
-
-                if (opts.classifyAgainstSc) {
-                    auto sc = scOutcomes(test);
-                    c.entry.scOutcomeCount = sc.size();
-                    for (const auto &outcome : r75.outcomes) {
-                        if (!sc.count(outcome)) {
-                            c.entry.weak = true;
+                c.entry.scOutcomeCount = sc.outcomes.size();
+                for (const auto &outcome : r75.outcomes) {
+                    if (!sc.outcomes.count(outcome)) {
+                        c.entry.weak = true;
+                        break;
+                    }
+                }
+            }
+            if (opts.classifyAgainstPtx60) {
+                if (single_proxy) {
+                    // Both models admit exactly r75's outcomes
+                    // (and would enumerate the same candidates,
+                    // so the budget verdict matches too).
+                    c.entry.ptx60Outcomes = r75.outcomes.size();
+                    c.entry.proxySensitive = false;
+                    c.prunedPtx60++;
+                } else {
+                    const ClassVerdict &r60 = classVerdict(
+                        i, test, &ErasureClass::ptx60, computePtx60);
+                    if (r60.failed) {
+                        c.tooExpensive = true;
+                        return;
+                    }
+                    c.entry.ptx60Outcomes = r60.outcomes.size();
+                    c.entry.proxySensitive =
+                        r60.outcomes != r75.outcomes;
+                }
+            }
+            if (opts.classifyFenceMinimal) {
+                bool has_fence = false;
+                bool all_load_bearing = true;
+                for (std::size_t t = 0;
+                     t < test.threads().size() && all_load_bearing;
+                     t++) {
+                    const auto &instrs = test.threads()[t].instructions;
+                    for (std::size_t j = 0; j < instrs.size(); j++) {
+                        if (!instrs[j].isFence())
+                            continue;
+                        has_fence = true;
+                        if (single_proxy &&
+                            instrs[j].opcode ==
+                                litmus::Opcode::FenceProxy) {
+                            // A proxy fence in a single-proxy
+                            // program anchors no release/acquire
+                            // pattern and bridges no cross-proxy
+                            // pair: removing it provably leaves
+                            // the outcome set unchanged, which is
+                            // exactly the recheck's break
+                            // condition.
+                            c.prunedFenceChecks++;
+                            all_load_bearing = false;
+                            break;
+                        }
+                        auto reduced = withoutInstruction(test, t, j);
+                        auto rr = checker75.check(reduced);
+                        if (rr.budgetExceeded) {
+                            c.tooExpensive = true;
+                            return;
+                        }
+                        if (rr.outcomes == r75.outcomes) {
+                            all_load_bearing = false;
                             break;
                         }
                     }
                 }
-                if (opts.classifyAgainstPtx60) {
-                    if (single_proxy) {
-                        // Both models admit exactly r75's outcomes
-                        // (and would enumerate the same candidates,
-                        // so the budget verdict matches too).
-                        c.entry.ptx60Outcomes = r75.outcomes.size();
-                        c.entry.proxySensitive = false;
-                        c.prunedPtx60++;
-                    } else {
-                        auto r60 = checker60.check(test);
-                        if (r60.budgetExceeded) {
-                            c.tooExpensive = true;
-                            return;
-                        }
-                        c.entry.ptx60Outcomes = r60.outcomes.size();
-                        c.entry.proxySensitive =
-                            r60.outcomes != r75.outcomes;
-                    }
-                }
-                if (opts.classifyFenceMinimal) {
-                    bool has_fence = false;
-                    bool all_load_bearing = true;
-                    for (std::size_t t = 0;
-                         t < test.threads().size() && all_load_bearing;
-                         t++) {
-                        const auto &instrs =
-                            test.threads()[t].instructions;
-                        for (std::size_t j = 0; j < instrs.size();
-                             j++) {
-                            if (!instrs[j].isFence())
-                                continue;
-                            has_fence = true;
-                            if (single_proxy &&
-                                instrs[j].opcode ==
-                                    litmus::Opcode::FenceProxy) {
-                                // A proxy fence in a single-proxy
-                                // program anchors no release/acquire
-                                // pattern and bridges no cross-proxy
-                                // pair: removing it provably leaves
-                                // the outcome set unchanged, which is
-                                // exactly the recheck's break
-                                // condition.
-                                c.prunedFenceChecks++;
-                                all_load_bearing = false;
-                                break;
-                            }
-                            auto reduced =
-                                withoutInstruction(test, t, j);
-                            auto rr = checker75.check(reduced);
-                            if (rr.budgetExceeded) {
-                                c.tooExpensive = true;
-                                return;
-                            }
-                            if (rr.outcomes == r75.outcomes) {
-                                all_load_bearing = false;
-                                break;
-                            }
-                        }
-                    }
-                    c.entry.fenceMinimal = has_fence && all_load_bearing;
-                }
-            } catch (const FatalError &) {
-                c.tooExpensive = true;
-                return;
+                c.entry.fenceMinimal = has_fence && all_load_bearing;
             }
+        } catch (const FatalError &) {
+            c.tooExpensive = true;
+        }
+    };
+
+    std::vector<Classified> classified(unique_list.size());
+    runtime::parallelFor(
+        unique_list.size(), par, [&](std::size_t i, obs::Session *) {
+            Classified &c = classified[i];
+            classify(i, c);
+            // Stage D drops it anyway; do not hold every test to the end.
+            if (!c.kept())
+                c.entry.test = litmus::LitmusTest();
         });
+    for (const ErasureClass &cls : classes) {
+        report.stats.ptx60Classes += cls.ptx60.computed;
+        report.stats.scClasses += cls.sc.computed;
+    }
 
     // ---- Stage D: fold classifications (serial, index order) -----------
     for (Classified &c : classified) {
@@ -770,8 +906,7 @@ Synthesizer::run() const
             report.stats.proxySensitive++;
         if (c.entry.fenceMinimal)
             report.stats.fenceMinimal++;
-        if (c.entry.weak || c.entry.proxySensitive ||
-            c.entry.fenceMinimal)
+        if (c.kept())
             report.interesting.push_back(std::move(c.entry));
     }
 

@@ -150,6 +150,15 @@ struct SynthStats
     std::uint64_t presolvePrunedPtx60 = 0;
     std::uint64_t presolvePrunedFenceChecks = 0;
 
+    /**
+     * PTX 6.0 erasure classes whose PTX 6.0 verdict, respectively SC
+     * outcome set, was computed (once per class, for every member that
+     * asked). Metrics only, like the presolve counts.
+     */
+    std::uint64_t ptx60Classes = 0;
+    std::uint64_t scClasses = 0;
+
+    /** Wall time of run(); metrics and benchmarks only, not summary(). */
     double seconds = 0.0;
 
     /** Add every field to @p registry under the "synth." prefix. */

@@ -266,6 +266,76 @@ TEST(Synthesizer, ParallelRunRespectsMaxUniquePrograms)
     EXPECT_EQ(report.stats.uniquePrograms, 5u);
 }
 
+/** One n=3 alphabet with the report totals it must reproduce. */
+struct AlphabetCase
+{
+    const char *name;
+    bool atomics;
+    bool async;
+    bool barriers;
+    std::uint64_t unique;
+    std::uint64_t weak;
+    std::uint64_t proxySensitive;
+    std::uint64_t fenceMinimal;
+};
+
+TEST(Synthesizer, ErasureClassVerdictsMatchDirectChecks)
+{
+    // PTX 6.0 verdicts and SC outcome sets are computed once per
+    // erasure class and shared by its members. Recompute both for
+    // every reported entry straight from its own test, with presolve
+    // on and off, and pin each alphabet's totals.
+    const AlphabetCase cases[] = {
+        {"default", false, false, false, 3168, 752, 675, 14},
+        {"atomics", true, false, false, 5240, 1287, 1024, 20},
+        {"async", false, true, false, 5708, 1763, 1216, 26},
+        {"barriers", false, false, true, 3456, 794, 717, 14},
+    };
+    model::CheckOptions opts75;
+    opts75.collectWitnesses = false;
+    model::CheckOptions opts60 = opts75;
+    opts60.mode = model::ProxyMode::Ptx60;
+    const model::Checker checker75(opts75);
+    const model::Checker checker60(opts60);
+    for (const AlphabetCase &alphabet : cases) {
+        for (bool presolve : {true, false}) {
+            SCOPED_TRACE(std::string(alphabet.name) +
+                         (presolve ? " presolve on" : " presolve off"));
+            SynthOptions opts = smallOptions(3, true);
+            opts.withAtomics = alphabet.atomics;
+            opts.withAsync = alphabet.async;
+            opts.withBarriers = alphabet.barriers;
+            opts.presolve = presolve;
+            const auto report = Synthesizer(opts).run();
+            EXPECT_EQ(report.stats.uniquePrograms, alphabet.unique);
+            EXPECT_EQ(report.stats.weak, alphabet.weak);
+            EXPECT_EQ(report.stats.proxySensitive,
+                      alphabet.proxySensitive);
+            EXPECT_EQ(report.stats.fenceMinimal, alphabet.fenceMinimal);
+            EXPECT_EQ(report.stats.skippedTooExpensive, 0u);
+            EXPECT_GT(report.stats.ptx60Classes, 0u);
+            EXPECT_LT(report.stats.scClasses, report.stats.checked);
+            for (const auto &entry : report.interesting) {
+                const auto r75 = checker75.check(entry.test).outcomes;
+                const auto r60 = checker60.check(entry.test).outcomes;
+                const auto sc = scOutcomes(entry.test);
+                bool weak = false;
+                for (const auto &outcome : r75)
+                    weak |= !sc.count(outcome);
+                EXPECT_EQ(entry.ptx75Outcomes, r75.size())
+                    << entry.test.toString();
+                EXPECT_EQ(entry.ptx60Outcomes, r60.size())
+                    << entry.test.toString();
+                EXPECT_EQ(entry.proxySensitive, r60 != r75)
+                    << entry.test.toString();
+                EXPECT_EQ(entry.scOutcomeCount, sc.size())
+                    << entry.test.toString();
+                EXPECT_EQ(entry.weak, weak) << entry.test.toString();
+            }
+        }
+    }
+}
+
 TEST(Synthesizer, GrowthIsExponential)
 {
     // The §6.3 scaling claim, in miniature: the enumeration grows by
